@@ -63,14 +63,14 @@ def test_rtp_codec_throughput(benchmark):
     assert packet.sequence == 1
 
 
-def _run_tick_chain(kernel, n_events, pending=0):
+def _run_tick_chain(n_events, pending=0):
     """Drive ``n_events`` through a tick chain, optionally with ballast.
 
     ``pending`` far-future timers sit in the queue the whole time — the
     load shape of a big scenario (thousands of armed SIP/AODV timers)
     where per-event cost must not grow with queue depth.
     """
-    sim = Simulator(seed=1, kernel=kernel)
+    sim = Simulator(seed=1)
     for index in range(pending):
         sim.schedule(3600.0 + index, lambda: None)
     count = [0]
@@ -86,19 +86,17 @@ def _run_tick_chain(kernel, n_events, pending=0):
 
 
 def test_simulator_event_throughput(benchmark):
-    assert benchmark(_run_tick_chain, "calendar", 10_000) == 10_000
+    assert benchmark(_run_tick_chain, 10_000) == 10_000
 
 
-@pytest.mark.parametrize("kernel", ["heap", "calendar"])
 @pytest.mark.parametrize("pending", [1000, 5000])
-def test_simulator_throughput_pending(benchmark, kernel, pending):
-    """Event throughput with 1k/5k timers pending: cost must stay flat.
+def test_simulator_throughput_pending(benchmark, pending):
+    """Event throughput with 1k/5k timers pending.
 
-    The calendar kernel's claim is O(1) scheduling regardless of queue
-    depth; the heap pays O(log n) per operation. Both kernels run the
-    identical workload so the BENCH JSON records the crossover.
+    The heap pays O(log n) per operation, so the BENCH JSON records how
+    per-event cost grows with queue depth.
     """
-    assert benchmark(_run_tick_chain, kernel, 10_000, pending=pending) == 10_000
+    assert benchmark(_run_tick_chain, 10_000, pending=pending) == 10_000
 
 
 # -- simulation inner-loop fast paths ----------------------------------------
@@ -170,10 +168,10 @@ def test_broadcast_spatial_index_speedup_100_nodes():
     assert speedup >= 3.0, f"spatial index speedup {speedup:.2f}x < 3x"
 
 
-def _churn_one_million(kernel):
+def _churn_one_million():
     """The SIP transaction-timer workload (timers A/B/E-K are armed and
     cancelled on every message) at week-long-run volume."""
-    sim = Simulator(seed=1, kernel=kernel)
+    sim = Simulator(seed=1)
     keepalive = sim.schedule(3600.0, lambda: None)
     for _ in range(1_000_000):
         sim.schedule(1.0, lambda: None).cancel()
@@ -182,39 +180,18 @@ def _churn_one_million(kernel):
 
 
 def test_cancelled_timer_churn(benchmark):
-    """1M scheduled-then-cancelled timers: memory must stay bounded.
-
-    Under the calendar kernel, cancelling the most recently scheduled
-    entry is a bucket tail pop — no tombstone, no compaction sweep ever
-    needed, queue stays at its live size throughout.
-    """
-
-    def run():
-        return benchmark.pedantic(_churn_one_million, ("calendar",),
-                                  rounds=1, iterations=1)
-
-    sim = run()
-    assert sim.pending_events == 1
-    assert sim.queue_size == 1
-    assert sim.compactions == 0
-
-
-def test_cancelled_timer_churn_heap(benchmark):
-    """Heap-kernel churn: compaction hysteresis must hold (regression).
+    """1M scheduled-then-cancelled timers: compaction hysteresis must hold.
 
     Before the ``COMPACT_MIN`` floor, the ``tombstones > live`` trigger
     re-fired on nearly every cancellation around a lone keepalive — an
     O(N) sweep per cancel, the 0.5 ops/s pathology in BENCH_2026-08-06.
     With the floor each sweep retires ``COMPACT_MIN`` tombstones, so the
-    sweep count is bounded by churn/COMPACT_MIN (amortized O(1)/cancel).
+    sweep count is bounded by churn/COMPACT_MIN (amortized O(1)/cancel)
+    and memory stays bounded (regression).
     """
     from repro.netsim.kernel import HeapKernel
 
-    def run():
-        return benchmark.pedantic(_churn_one_million, ("heap",),
-                                  rounds=1, iterations=1)
-
-    sim = run()
+    sim = benchmark.pedantic(_churn_one_million, rounds=1, iterations=1)
     assert sim.pending_events == 1
     assert sim.queue_size <= Simulator.COMPACT_MIN_QUEUE
     assert 0 < sim.compactions <= 1_000_000 // HeapKernel.COMPACT_MIN + 1

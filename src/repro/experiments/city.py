@@ -17,8 +17,8 @@ Scale notes (what makes 5k nodes tractable at all):
 * AODV is reactive and hello-less here, so an idle city is silent — the
   event load is mobility ticks plus exactly the floods/signaling/media the
   call workload causes;
-* the calendar-queue kernel and batched medium delivery keep per-event cost
-  flat as the pending set grows (see DESIGN.md §5g); the wall-clock numbers
+* batched medium delivery keeps one broadcast to one event-kernel entry
+  however many neighbours hear it (see DESIGN.md §5g); the wall-clock numbers
   live in ``benchmarks/`` (DET001: experiment code never reads the host
   clock).
 """
@@ -45,7 +45,6 @@ def build_city_scenario(
     n_nodes: int = 5000,
     tx_range: float = 150.0,
     seed: int = 1,
-    kernel: str = "calendar",
     mobility: bool = True,
 ) -> ManetScenario:
     """A city-scale MANET: random placement, random waypoint, no Internet."""
@@ -60,7 +59,6 @@ def build_city_scenario(
             area=(side, side),
             mobility=mobility,
             connection_provider=False,
-            kernel=kernel,
         )
     )
 
@@ -107,7 +105,6 @@ def run_city_workload(
     call_duration: float = 5.0,
     drain: float = 20.0,
     max_call_distance: float = 1200.0,
-    kernel: str = "calendar",
     mobility: bool = True,
     profiler=None,
 ) -> dict[str, object]:
@@ -123,8 +120,7 @@ def run_city_workload(
     attributed; it stays installed afterwards for the caller to report on.
     """
     scenario = build_city_scenario(
-        n_nodes=n_nodes, tx_range=tx_range, seed=seed, kernel=kernel,
-        mobility=mobility,
+        n_nodes=n_nodes, tx_range=tx_range, seed=seed, mobility=mobility,
     )
     if profiler is not None:
         scenario.sim.attach_profiler(profiler)
@@ -151,7 +147,6 @@ def run_city_workload(
     return {
         "nodes": n_nodes,
         "phones": len(phone_nodes),
-        "kernel": sim.kernel,
         "sim_time": sim.now,
         "calls": len(records),
         "established": len(established),
@@ -168,12 +163,11 @@ def city_table(
     seeds: tuple[int, ...] = (1,),
     n_calls: int = 24,
     drain: float = 20.0,
-    kernel: str = "calendar",
     **workload_kwargs,
 ) -> Table:
     """C1: background call load on mobile city-scale MANETs."""
     table = Table(
-        title=f"C1: city-scale MANET call load ({kernel} kernel, random waypoint)",
+        title="C1: city-scale MANET call load (random waypoint)",
         columns=[
             "nodes", "phones", "calls", "established", "success_ratio",
             "mean_setup_s", "sim_events", "packets",
@@ -183,7 +177,7 @@ def city_table(
         for seed in seeds:
             result = run_city_workload(
                 n_nodes=n_nodes, n_calls=n_calls, seed=seed, drain=drain,
-                kernel=kernel, **workload_kwargs,
+                **workload_kwargs,
             )
             table.add_row(
                 result["nodes"],

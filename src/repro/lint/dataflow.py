@@ -40,7 +40,7 @@ SIM_PARAM_NAMES = frozenset({"sim", "simulator", "kernel", "medium"})
 
 #: Type names (terminal identifier) that tag a value as a simulator/kernel
 #: or radio-medium reference.
-SIM_TYPE_NAMES = frozenset({"Simulator", "WirelessMedium", "HeapKernel", "CalendarKernel"})
+SIM_TYPE_NAMES = frozenset({"Simulator", "WirelessMedium", "HeapKernel"})
 
 #: ``random.Random`` consumer methods: a parameter these are called on is
 #: an RNG sink, so passing the global ``random`` module into it smuggles

@@ -685,7 +685,7 @@ class _HeapqUseVisitor(RuleVisitor):
                 self.report(
                     node,
                     "direct 'import heapq': event ordering must go through "
-                    "the kernel abstraction (Simulator.schedule* / "
+                    "the event kernel (Simulator.schedule* / "
                     "repro.netsim.kernel), not a private heap",
                 )
         self.generic_visit(node)
@@ -695,7 +695,7 @@ class _HeapqUseVisitor(RuleVisitor):
             self.report(
                 node,
                 "direct 'from heapq import ...': event ordering must go "
-                "through the kernel abstraction (Simulator.schedule* / "
+                "through the event kernel (Simulator.schedule* / "
                 "repro.netsim.kernel), not a private heap",
             )
         self.generic_visit(node)
@@ -706,7 +706,7 @@ class _HeapqUseVisitor(RuleVisitor):
             self.report(
                 node,
                 f"direct {name}(): event ordering must go through the "
-                "kernel abstraction, not a private heap",
+                "event kernel (repro.netsim.kernel), not a private heap",
             )
         self.generic_visit(node)
 
@@ -715,11 +715,11 @@ class HeapqUseRule(Rule):
     id = "PERF001"
     title = "no direct heapq use outside repro/netsim/kernel.py"
     rationale = (
-        "The pluggable event kernel (calendar queue vs. reference heap) is "
-        "the single owner of pending-event ordering; a side heap of timers "
-        "bypasses cancellation accounting, parity gates and the O(1) "
+        "The event kernel (repro.netsim.kernel) is the single owner of "
+        "pending-event ordering; a side heap of timers bypasses "
+        "cancellation accounting, the determinism gates and the O(1) "
         "diagnostics (pending_events/queue_size), and its pop order is "
-        "invisible to the cross-kernel determinism contract."
+        "invisible to the (time, seq) determinism contract."
     )
     visitor_class = _HeapqUseVisitor
 

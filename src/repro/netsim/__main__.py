@@ -1,25 +1,23 @@
-"""netsim CLI: cross-kernel schedule-parity probe for ``tools/check.sh``.
+"""netsim CLI: fresh-process determinism probe for ``tools/check.sh``.
 
 Usage::
 
-    python -m repro.netsim kernel-trace --kernel calendar --out cal.jsonl
-    python -m repro.netsim kernel-trace --kernel heap --out heap.jsonl
-    cmp cal.jsonl heap.jsonl
+    python -m repro.netsim trace --out a.jsonl
+    python -m repro.netsim trace --out b.jsonl
+    cmp a.jsonl b.jsonl
 
 Runs one fixed seeded scenario — random mobile topology, lossy medium,
-tracing on, a full SIP call — under the chosen event kernel, then writes
-the byte-exact trace export followed by one ``summary`` line (Stats
-summary + event counts, canonical JSON). The check.sh gate runs this once
-per kernel in *fresh interpreters* (so the process-global identifier
-counters start equal, no ``registry.reset_all()`` needed) and byte-compares
-the two files: any schedule divergence between ``CalendarKernel`` and the
-reference ``HeapKernel`` surfaces as a one-line ``cmp`` diff. The kernel
-name itself is deliberately absent from the output — equal inputs must
-produce equal bytes.
+tracing on, a full SIP call — then writes the byte-exact trace export
+followed by one ``summary`` line (Stats summary + event counts, canonical
+JSON). The check.sh gate runs this twice in *fresh interpreters* under
+different ``PYTHONHASHSEED`` values and byte-compares the two files. Each
+run starts its process-global identifier counters from zero, so any
+dependence of the schedule on string-hash order or on leaked process state
+surfaces as a one-line ``cmp`` diff.
 
 The in-process, fault-injecting variant of this gate lives in
 ``tests/netsim/test_kernel_parity.py``; this entry point exists so the
-parity contract is also enforced outside pytest, subprocess-fresh, the
+determinism contract is also enforced outside pytest, subprocess-fresh, the
 same way ``repro.overload smoke`` proves byte-identical reruns.
 """
 
@@ -30,7 +28,7 @@ import json
 import sys
 
 
-def _cmd_kernel_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.scenarios import ManetConfig, ManetScenario
 
     scenario = ManetScenario(
@@ -44,7 +42,6 @@ def _cmd_kernel_trace(args: argparse.Namespace) -> int:
             loss_rate=0.05,
             mobility=True,
             tracing=True,
-            kernel=args.kernel,
         )
     )
     scenario.start()
@@ -66,7 +63,7 @@ def _cmd_kernel_trace(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(scenario.trace.export_jsonl())
         fh.write(summary + "\n")
-    print(f"kernel-trace: wrote {args.out} ({scenario.sim.events_processed} events)")
+    print(f"trace: wrote {args.out} ({scenario.sim.events_processed} events)")
     return 0
 
 
@@ -76,13 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__.splitlines()[0],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_kt = sub.add_parser(
-        "kernel-trace",
-        help="run the fixed parity scenario under one kernel, write its trace",
+    p_trace = sub.add_parser(
+        "trace",
+        help="run the fixed determinism scenario, write its trace",
     )
-    p_kt.add_argument("--kernel", choices=("heap", "calendar"), required=True)
-    p_kt.add_argument("--out", required=True, help="output JSONL path")
-    p_kt.set_defaults(fn=_cmd_kernel_trace)
+    p_trace.add_argument("--out", required=True, help="output JSONL path")
+    p_trace.set_defaults(fn=_cmd_trace)
     return parser
 
 

@@ -1,39 +1,22 @@
-"""Pluggable event kernels for the discrete-event simulator.
+"""The discrete-event simulator's event kernel.
 
 The :class:`~repro.netsim.simulator.Simulator` facade owns the seeded RNG
-and the public API; the *kernel* owns the clock, the sequence counter and
-the pending-event structure. Two kernels implement the same contract:
-
-``HeapKernel``
-    The reference implementation: one binary heap of ``(time, seq, event)``
-    tuples (tuple entries compare in C, never touching the callback).
-    Cancellation leaves a tombstone; the heap is lazily compacted with
-    hysteresis (see :attr:`HeapKernel.COMPACT_MIN`).
-
-``CalendarKernel``
-    The fast path: a calendar queue (Brown 1988) — a power-of-two ring of
-    buckets each ``width`` seconds wide, a cursor walking the ring, and a
-    sorted *overflow band* (small heap) for events beyond the ring's
-    horizon. Scheduling is an O(1) list append; popping sorts one bucket
-    at a time. Cancelling the most recently scheduled event in a bucket
-    pops it O(1) with no tombstone — the schedule-then-cancel churn of SIP
-    transaction timers costs two list operations instead of a heap entry
-    plus an eventual O(N) compaction sweep. Bucket width self-tunes from
-    the observed batch/scan ratio.
-
-Both kernels pop events in exactly ascending ``(time, seq)`` order, so a
-seeded scenario is bit-identical under either — ``tests/netsim/
-test_kernel_parity.py`` and the ``tools/check.sh`` parity gate enforce it.
+and the public API; :class:`HeapKernel` owns the clock, the sequence
+counter and the pending-event structure: one binary heap of
+``(time, seq, event)`` tuples (tuple entries compare in C, never touching
+the callback). Events pop in exactly ascending ``(time, seq)`` order.
+Cancellation leaves a tombstone; the heap is lazily compacted with
+hysteresis (see :attr:`HeapKernel.COMPACT_MIN`). Batched medium deliveries
+ride as one heap entry per batch (:class:`_DeliveryTrain`).
 
 This module is the only place allowed to import :mod:`heapq`
-(lint rule PERF001): everything else must go through a kernel.
+(lint rule PERF001): everything else must go through the kernel.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import SimulationError
 
@@ -44,12 +27,12 @@ BatchEntry = tuple[float, Callable[..., None], tuple[Any, ...]]
 class EventHandle:
     """A scheduled event and its cancellation handle (one object, no wrapper).
 
-    Kernels construct these via ``__new__`` + direct stores — profiled ~35%
+    The kernel constructs these via ``__new__`` + direct stores — profiled ~35%
     faster than ``__init__`` dispatch, and this is the hottest allocation in
     the simulator.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "popped", "_slot", "_kernel")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "popped", "_kernel")
 
     def __init__(
         self,
@@ -64,7 +47,6 @@ class EventHandle:
         self.args = args
         self.cancelled = False
         self.popped = False
-        self._slot = None
         self._kernel = None
 
     @property
@@ -95,7 +77,7 @@ class _DeliveryTrain:
 
     __slots__ = ("items", "index")
 
-    def fire(self, kernel: "_KernelBase") -> None:
+    def fire(self, kernel: "HeapKernel") -> None:
         items = self.items
         index = self.index
         entry = items[index]
@@ -108,15 +90,67 @@ class _DeliveryTrain:
         entry[2](*entry[3])
 
 
-class _KernelBase:
-    """Shared contract: seq reservation, batch trains, diagnostics."""
+class HeapKernel:
+    """Binary-heap event kernel with tombstone cancellation.
 
-    __slots__ = ()
-    name = "?"
+    Compaction fires only once tombstones both exceed an absolute floor
+    (:attr:`COMPACT_MIN`) *and* outnumber live events two to one. The floor
+    is the hysteresis: the previous ``tombstones > live`` trigger re-fired
+    on nearly every cancellation when few live events were pending
+    (schedule-then-cancel churn around a lone keepalive compacted the heap
+    every other cycle), which is exactly the 0.5 ops/s pathology in
+    BENCH_2026-08-06's ``test_cancelled_timer_churn``.
+    """
 
-    # Subclasses provide: now, seq, processed, _live, _tombstones,
-    # _compactions, schedule, schedule_at, run, _push_raw, _on_cancel,
-    # and the `size` property.
+    __slots__ = ("now", "seq", "processed", "_heap", "_live", "_tombstones", "_compactions")
+
+    #: Hysteresis floor: never compact with fewer tombstones than this.
+    COMPACT_MIN = 64
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.seq = 0
+        self.processed = 0
+        self._heap: list[tuple] = []
+        self._live = 0
+        self._tombstones = 0
+        self._compactions = 0
+
+    # -- scheduling ------------------------------------------------------
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        time = self.now + delay
+        self.seq = seq = self.seq + 1
+        event = EventHandle.__new__(EventHandle)
+        event.time = time
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event.popped = False
+        event._kernel = self
+        heapq.heappush(self._heap, (time, seq, event))
+        self._live += 1
+        return event
+
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time:.6f}, clock is already at {self.now:.6f}"
+            )
+        self.seq = seq = self.seq + 1
+        event = EventHandle.__new__(EventHandle)
+        event.time = time
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event.popped = False
+        event._kernel = self
+        heapq.heappush(self._heap, (time, seq, event))
+        self._live += 1
+        return event
 
     def schedule_batch(self, entries: Sequence[BatchEntry]) -> int:
         """Schedule many ``(delay, callback, args)`` deliveries as one train.
@@ -149,102 +183,6 @@ class _KernelBase:
         self._live += count
         return count
 
-    def run_scraped(self, until: float, scraper: Any) -> None:
-        """Advance to ``until``, pausing at scrape boundaries.
-
-        Chops one clock advance into chunks at the scraper's due times and
-        snapshots between chunks. Chunked :meth:`run` calls pop exactly the
-        same ``(time, seq)`` sequence as one big call (events fire at their
-        own times; the intermediate ``now`` writes below are overwritten by
-        the Simulator facade's final advance), so the event schedule is
-        byte-identical with scraping on or off — the metrics determinism
-        contract (DESIGN.md §5i).
-        """
-        nxt = scraper.next_due
-        while nxt <= until:
-            self.run(nxt)
-            if self.now < nxt:
-                self.now = nxt
-            scraper.scrape(nxt)
-            nxt = scraper.next_due
-        self.run(until)
-
-    @property
-    def live(self) -> int:
-        """Number of live (non-cancelled) scheduled events. O(1)."""
-        return self._live
-
-    @property
-    def compactions(self) -> int:
-        return self._compactions
-
-
-class HeapKernel(_KernelBase):
-    """Reference kernel: binary heap + tombstone cancellation.
-
-    Compaction fires only once tombstones both exceed an absolute floor
-    (:attr:`COMPACT_MIN`) *and* outnumber live events two to one. The floor
-    is the hysteresis: the previous ``tombstones > live`` trigger re-fired
-    on nearly every cancellation when few live events were pending
-    (schedule-then-cancel churn around a lone keepalive compacted the heap
-    every other cycle), which is exactly the 0.5 ops/s pathology in
-    BENCH_2026-08-06's ``test_cancelled_timer_churn``.
-    """
-
-    __slots__ = ("now", "seq", "processed", "_heap", "_live", "_tombstones", "_compactions")
-
-    name = "heap"
-
-    #: Hysteresis floor: never compact with fewer tombstones than this.
-    COMPACT_MIN = 64
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.seq = 0
-        self.processed = 0
-        self._heap: list[tuple] = []
-        self._live = 0
-        self._tombstones = 0
-        self._compactions = 0
-
-    # -- scheduling ------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        self.seq = seq = self.seq + 1
-        event = EventHandle.__new__(EventHandle)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event.popped = False
-        event._slot = None
-        event._kernel = self
-        heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
-        return event
-
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time:.6f}, clock is already at {self.now:.6f}"
-            )
-        self.seq = seq = self.seq + 1
-        event = EventHandle.__new__(EventHandle)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event.popped = False
-        event._slot = None
-        event._kernel = self
-        heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
-        return event
-
     def _push_raw(self, time: float, seq: int, obj: Any) -> None:
         heapq.heappush(self._heap, (time, seq, obj))
 
@@ -256,13 +194,18 @@ class HeapKernel(_KernelBase):
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap without tombstones; pop order is unchanged."""
-        self._heap = [
+        """Rebuild the heap without tombstones; pop order is unchanged.
+
+        In place: a :meth:`run` loop in progress holds the list object, so a
+        callback that triggers compaction must not swap it out from under it.
+        """
+        heap = self._heap
+        heap[:] = [
             entry
-            for entry in self._heap
+            for entry in heap
             if not (entry[2].__class__ is EventHandle and entry[2].cancelled)
         ]
-        heapq.heapify(self._heap)
+        heapq.heapify(heap)
         self._tombstones = 0
         self._compactions += 1
 
@@ -301,545 +244,36 @@ class HeapKernel(_KernelBase):
         finally:
             self.processed += processed
 
+    def run_scraped(self, until: float, scraper: Any) -> None:
+        """Advance to ``until``, pausing at scrape boundaries.
+
+        Chops one clock advance into chunks at the scraper's due times and
+        snapshots between chunks. Chunked :meth:`run` calls pop exactly the
+        same ``(time, seq)`` sequence as one big call (events fire at their
+        own times; the intermediate ``now`` writes below are overwritten by
+        the Simulator facade's final advance), so the event schedule is
+        byte-identical with scraping on or off — the metrics determinism
+        contract (DESIGN.md §5i).
+        """
+        nxt = scraper.next_due
+        while nxt <= until:
+            self.run(nxt)
+            if self.now < nxt:
+                self.now = nxt
+            scraper.scrape(nxt)
+            nxt = scraper.next_due
+        self.run(until)
+
     @property
     def size(self) -> int:
         """Pending-structure entries including tombstones (memory diagnostics)."""
         return len(self._heap)
 
-
-class CalendarKernel(_KernelBase):
-    """Calendar-queue kernel: bucketed ring + sorted overflow band.
-
-    Geometry: ``nslots`` (power of two) buckets of ``width`` seconds.
-    Bucket indices are *absolute* — event time ``t`` maps to bucket
-    ``int(t / width)``, stored at ring position ``index & (nslots - 1)``.
-    A cursor ``_cur`` holds the current absolute bucket; the ring covers
-    the horizon ``[_cur, _cur + nslots)``. Events beyond the horizon wait
-    in the overflow heap and migrate into the ring as the cursor advances
-    (each advance extends the horizon by one bucket, so migration is
-    incremental and amortized O(log overflow) per event).
-
-    Popping drains the cursor's bucket into a sorted *due* list and
-    consumes it by index; arrivals into the current bucket are merged in
-    before every pop, so the global pop order is exactly ascending
-    ``(time, seq)`` — bit-identical to the heap kernel.
-
-    Cancellation of the most recent entry in its bucket is a tail pop
-    (O(1), no garbage); anything else becomes a tombstone swept by the
-    same hysteresis compaction the heap kernel uses.
-    """
-
-    __slots__ = (
-        "now", "seq", "processed", "_live", "_tombstones", "_compactions",
-        "_width", "_inv", "_nslots", "_mask", "_ring", "_cur", "_overflow",
-        "_ring_entries", "_due", "_due_index",
-        "_adv_count", "_adv_scans", "_drained", "_resizes", "_compact_floor",
-    )
-
-    name = "calendar"
-
-    COMPACT_MIN = 64
-    MIN_WIDTH = 1e-5
-    MAX_WIDTH = 10.0
-    MIN_SLOTS = 256
-    MAX_SLOTS = 1 << 16
-    #: Drained-batch size the width refit steers toward: big enough that the
-    #: per-bucket sort amortizes, small enough that sorts stay cache-friendly.
-    TARGET_BATCH = 8.0
-    #: Advances between bucket-geometry fitness checks.
-    RESIZE_CHECK = 256
-
-    def __init__(self, width: float = 0.01, nslots: int = 1024) -> None:
-        if nslots & (nslots - 1):
-            raise SimulationError(f"nslots must be a power of two, got {nslots}")
-        self.now = 0.0
-        self.seq = 0
-        self.processed = 0
-        self._live = 0
-        self._tombstones = 0
-        self._compactions = 0
-        self._width = width
-        self._inv = 1.0 / width
-        self._nslots = nslots
-        self._mask = nslots - 1
-        self._ring: list[list[tuple]] = [[] for _ in range(nslots)]
-        self._cur = 0  # absolute index of the current bucket
-        self._overflow: list[tuple] = []  # heap of (time, seq, obj) beyond horizon
-        self._ring_entries = 0  # physical entries in ring slots (incl. tombstones)
-        self._due: list[tuple] = []  # current bucket, sorted; consumed by index
-        self._due_index = 0
-        self._adv_count = 0
-        self._adv_scans = 0
-        self._drained = 0
-        self._resizes = 0
-        self._compact_floor = self.COMPACT_MIN
-
-    # -- scheduling ------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        self.seq = seq = self.seq + 1
-        event = EventHandle.__new__(EventHandle)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event.popped = False
-        event._kernel = self
-        cur = self._cur
-        index = int(time * self._inv)
-        if index > cur:
-            if index < cur + self._nslots:
-                slot = self._ring[index & self._mask]
-                slot.append((time, seq, event))
-                event._slot = slot
-                self._ring_entries += 1
-            else:
-                event._slot = None
-                heapq.heappush(self._overflow, (time, seq, event))
-        else:
-            # Lands in the bucket currently being consumed: insert into the
-            # sorted due list (times are always >= now, so the insertion
-            # point is never behind the consumption index — usually it is
-            # the very end, a plain append).
-            due = self._due
-            if self._due_index >= len(due):
-                due.append((time, seq, event))
-            else:
-                insort(due, (time, seq, event), self._due_index)
-            event._slot = due
-        self._live += 1
-        return event
-
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time:.6f}, clock is already at {self.now:.6f}"
-            )
-        self.seq = seq = self.seq + 1
-        event = EventHandle.__new__(EventHandle)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event.popped = False
-        event._kernel = self
-        cur = self._cur
-        index = int(time * self._inv)
-        if index > cur:
-            if index < cur + self._nslots:
-                slot = self._ring[index & self._mask]
-                slot.append((time, seq, event))
-                event._slot = slot
-                self._ring_entries += 1
-            else:
-                event._slot = None
-                heapq.heappush(self._overflow, (time, seq, event))
-        else:
-            # Lands in the bucket currently being consumed: insert into the
-            # sorted due list (times are always >= now, so the insertion
-            # point is never behind the consumption index — usually it is
-            # the very end, a plain append).
-            due = self._due
-            if self._due_index >= len(due):
-                due.append((time, seq, event))
-            else:
-                insort(due, (time, seq, event), self._due_index)
-            event._slot = due
-        self._live += 1
-        return event
-
-    def _push_raw(self, time: float, seq: int, obj: Any) -> None:
-        cur = self._cur
-        index = int(time * self._inv)
-        if index > cur:
-            if index < cur + self._nslots:
-                self._ring[index & self._mask].append((time, seq, obj))
-                self._ring_entries += 1
-            else:
-                heapq.heappush(self._overflow, (time, seq, obj))
-        else:
-            due = self._due
-            if self._due_index >= len(due):
-                due.append((time, seq, obj))
-            else:
-                insort(due, (time, seq, obj), self._due_index)
-
-    # -- cancellation ----------------------------------------------------
-    def _on_cancel(self, event: EventHandle) -> None:
-        self._live -= 1
-        slot = event._slot
-        # Tail pop: the common schedule-then-cancel churn (SIP transaction
-        # timers) cancels the *newest* entry in its bucket — remove it
-        # outright, no tombstone, no compaction debt. The same works when
-        # the bucket has already been taken as the due list (``slot`` is
-        # then the due list itself; only ring residency is accounted).
-        if slot is not None and slot and slot[-1][2] is event:
-            slot.pop()
-            event._slot = None
-            if slot is not self._due:
-                self._ring_entries -= 1
-            return
-        self._tombstones = tombstones = self._tombstones + 1
-        if tombstones >= self._compact_floor and tombstones > 2 * self._live:
-            before = tombstones
-            removed = self._compact()
-            # Tombstones inside the due list can only clear when popped; if
-            # a sweep found little to remove, raise the floor so steady
-            # churn cannot re-trigger O(N) sweeps on every cancellation.
-            if removed * 2 < before:
-                self._compact_floor = max(self.COMPACT_MIN, 2 * (before - removed))
-            else:
-                self._compact_floor = self.COMPACT_MIN
-
-    def _compact(self) -> int:
-        """Sweep tombstones from ring slots and the overflow band, in place."""
-        handle_cls = EventHandle
-        ring_removed = 0
-        for slot in self._ring:
-            if not slot:
-                continue
-            kept = [
-                entry
-                for entry in slot
-                if not (entry[2].__class__ is handle_cls and entry[2].cancelled)
-            ]
-            if len(kept) != len(slot):
-                ring_removed += len(slot) - len(kept)
-                slot[:] = kept  # in place: survivors' _slot references stay valid
-        overflow = self._overflow
-        kept = [
-            entry
-            for entry in overflow
-            if not (entry[2].__class__ is handle_cls and entry[2].cancelled)
-        ]
-        overflow_removed = len(overflow) - len(kept)
-        if overflow_removed:
-            heapq.heapify(kept)
-            self._overflow = kept
-        self._ring_entries -= ring_removed
-        removed = ring_removed + overflow_removed
-        self._tombstones -= removed
-        self._compactions += 1
-        return removed
-
-    # -- event loop ------------------------------------------------------
-    def run(self, until: float) -> None:
-        """Fire every pending entry with ``time <= until`` in (time, seq) order.
-
-        The current bucket is consumed along two paths. A lone entry with no
-        due backlog pops straight off the ring list — no allocation, no sort
-        (the dominant case for sparse timer chains). Otherwise the bucket
-        list is *swapped out* of the ring and becomes the due list itself
-        (sorted in place, consumed by index), so taking a batch of N events
-        costs one sort and one empty-list allocation, not N copies.
-        """
-        due = self._due
-        due_index = self._due_index
-        ring = self._ring
-        mask = self._mask
-        cur = self._cur
-        handle_cls = EventHandle
-        processed = 0
-        try:
-            while True:
-                # Arrivals (including train re-arms and clamped near-past
-                # times) land in the current bucket; absorb them before
-                # every pop so the global (time, seq) order holds.
-                slot = ring[cur & mask]
-                if slot:
-                    backlog = len(due) - due_index
-                    if len(slot) == 1 and not backlog:
-                        # Fast path: the bucket's lone entry is the global
-                        # minimum — consume it in place.
-                        entry = slot[0]
-                        time = entry[0]
-                        if time > until:
-                            break
-                        del slot[0]
-                        self._ring_entries -= 1
-                        obj = entry[2]
-                        if obj.__class__ is handle_cls:
-                            obj._slot = None
-                            if obj.cancelled:
-                                self._tombstones -= 1
-                                continue
-                            obj.popped = True
-                            self._live -= 1
-                            self.now = time
-                            processed += 1
-                            obj.callback(*obj.args)
-                        else:  # _DeliveryTrain
-                            self.now = time
-                            processed += 1
-                            obj.fire(self)
-                        continue
-                    # Batch path: swap the bucket out of the ring and adopt
-                    # it as (part of) the due list.
-                    ring[cur & mask] = []
-                    self._ring_entries -= len(slot)
-                    self._drained += len(slot)
-                    if len(slot) > 1:
-                        slot.sort()
-                    if backlog:
-                        # Merge with the unconsumed remainder. The merged
-                        # list is a new object, so surviving events lose
-                        # their tail-pop slot reference (cancellations fall
-                        # back to the tombstone path).
-                        merged = due[due_index:]
-                        merged += slot
-                        merged.sort()
-                        for entry in merged:
-                            obj = entry[2]
-                            if obj.__class__ is handle_cls:
-                                obj._slot = None
-                        due = merged
-                    else:
-                        due = slot
-                    self._due = due
-                    due_index = 0
-                    self._due_index = 0
-                if due_index < len(due):
-                    entry = due[due_index]
-                    time = entry[0]
-                    if time > until:
-                        break
-                    due_index += 1
-                    if due_index >= len(due):
-                        # Fully consumed: reset in place so current-bucket
-                        # arrivals from the callback below append in O(1).
-                        due.clear()
-                        due_index = 0
-                    elif due_index >= 4096:
-                        # Bound the consumed prefix of a long backlog.
-                        del due[:due_index]
-                        due_index = 0
-                    self._due_index = due_index
-                    obj = entry[2]
-                    if obj.__class__ is handle_cls:
-                        if obj.cancelled:
-                            self._tombstones -= 1
-                            continue
-                        obj.popped = True
-                        self._live -= 1
-                        self.now = time
-                        processed += 1
-                        obj.callback(*obj.args)
-                    else:  # _DeliveryTrain
-                        self.now = time
-                        processed += 1
-                        obj.fire(self)
-                    continue
-                if not self._advance(until):
-                    break
-                # A resize may have replaced the geometry; re-read it.
-                ring = self._ring
-                mask = self._mask
-                cur = self._cur
-        finally:
-            del due[:due_index]
-            self._due = due
-            self._due_index = 0
-            self.processed += processed
-
-    def _advance(self, until: float) -> bool:
-        """Move the cursor to the next bucket that may hold work ``<= until``.
-
-        Returns False when nothing can fire within ``until`` this run.
-        """
-        if self._ring_entries:
-            width = self._width
-            ring = self._ring
-            mask = self._mask
-            nslots = self._nslots
-            cur = self._cur
-            scanned = 0
-            found = False
-            while True:
-                nxt = cur + 1
-                if nxt * width > until:
-                    break
-                cur = nxt
-                scanned += 1
-                if ring[cur & mask]:
-                    found = True
-                    break
-                if scanned > nslots:  # pragma: no cover - accounting guard
-                    raise SimulationError("calendar ring accounting corrupted")
-            self._cur = cur
-            self._adv_count += 1
-            self._adv_scans += scanned
-            self._migrate(cur)
-            if self._adv_count >= self.RESIZE_CHECK:
-                self._maybe_resize()
-            return found
-        overflow = self._overflow
-        if not overflow:
-            return False
-        head_time = overflow[0][0]
-        if head_time > until:
-            return False
-        cur = int(head_time * self._inv)
-        if cur < self._cur:
-            cur = self._cur
-        self._cur = cur
-        self._migrate(cur)
-        return True
-
-    def _migrate(self, cur: int) -> None:
-        """Pull overflow entries that now fit inside the ring horizon."""
-        overflow = self._overflow
-        if not overflow:
-            return
-        nslots = self._nslots
-        boundary = (cur + nslots) * self._width
-        if overflow[0][0] >= boundary:
-            return
-        ring = self._ring
-        mask = self._mask
-        inv = self._inv
-        hi = cur + nslots - 1
-        pop = heapq.heappop
-        handle_cls = EventHandle
-        while overflow and overflow[0][0] < boundary:
-            entry = pop(overflow)
-            index = int(entry[0] * inv)
-            if index <= cur:
-                index = cur
-            elif index > hi:  # float rounding right at the horizon boundary
-                index = hi
-            slot = ring[index & mask]
-            slot.append(entry)
-            obj = entry[2]
-            if obj.__class__ is handle_cls:
-                obj._slot = slot
-            self._ring_entries += 1
-
-    # -- geometry adaptation ---------------------------------------------
-    def _maybe_resize(self) -> None:
-        """Refit bucket width (and ring size) to the observed workload.
-
-        Large drained batches mean buckets are too coarse (every pop pays
-        an oversized sort); long empty-bucket scans with tiny batches mean
-        they are too fine (every event pays cursor laps). The width is
-        refit proportionally toward a small target batch, and the ring
-        grows with the live population so a crowded horizon does not spill
-        into the overflow heap. Pop order is unaffected by any of it:
-        order comes from the per-bucket sort, not the geometry.
-        """
-        advances = self._adv_count
-        batch = self._drained / advances if advances else 0.0
-        scan = self._adv_scans / advances if advances else 0.0
-        self._adv_count = 0
-        self._adv_scans = 0
-        self._drained = 0
-        width = self._width
-        if batch > 4.0 * self.TARGET_BATCH:
-            factor = self.TARGET_BATCH / batch
-            if factor < 1.0 / 64.0:
-                factor = 1.0 / 64.0
-            width = width * factor
-        elif scan > 4.0 and batch < 2.0:
-            factor = scan
-            if factor > 64.0:
-                factor = 64.0
-            width = width * factor
-        if width < self.MIN_WIDTH:
-            width = self.MIN_WIDTH
-        elif width > self.MAX_WIDTH:
-            width = self.MAX_WIDTH
-        nslots = self._nslots
-        live = self._live
-        while nslots < self.MAX_SLOTS and live > 2 * nslots:
-            nslots *= 2
-        while nslots > self.MIN_SLOTS and 8 * live < nslots:
-            nslots //= 2
-        if width != self._width or nslots != self._nslots:
-            self._rebuild(width, nslots)
-
-    def _rebuild(self, width: float, nslots: int) -> None:
-        """Re-bucket every ring entry under a new geometry.
-
-        Overflow entries stay in the overflow heap; a migration pass right
-        after picks up any that the (possibly longer) horizon now covers.
-        """
-        handle_cls = EventHandle
-        entries: list[tuple] = []
-        dropped = 0
-        for slot in self._ring:
-            if not slot:
-                continue
-            for entry in slot:
-                obj = entry[2]
-                if obj.__class__ is handle_cls:
-                    if obj.cancelled:
-                        dropped += 1
-                        continue
-                    obj._slot = None
-                entries.append(entry)
-            slot.clear()
-        if dropped:
-            self._tombstones -= dropped
-        self._width = width
-        self._inv = inv = 1.0 / width
-        if nslots != self._nslots:
-            self._nslots = nslots
-            self._mask = nslots - 1
-            self._ring = [[] for _ in range(nslots)]
-        cur = int(self.now * inv)
-        self._cur = cur
-        self._ring_entries = 0
-        ring = self._ring
-        mask = self._mask
-        limit = cur + nslots
-        push = heapq.heappush
-        overflow = self._overflow
-        for entry in entries:
-            index = int(entry[0] * inv)
-            if index <= cur:
-                index = cur
-            if index < limit:
-                slot = ring[index & mask]
-                slot.append(entry)
-                obj = entry[2]
-                if obj.__class__ is handle_cls:
-                    obj._slot = slot
-                self._ring_entries += 1
-            else:
-                push(overflow, entry)
-        self._resizes += 1
-        self._migrate(cur)
+    @property
+    def live(self) -> int:
+        """Number of live (non-cancelled) scheduled events. O(1)."""
+        return self._live
 
     @property
-    def size(self) -> int:
-        """Pending-structure entries including tombstones (memory diagnostics)."""
-        return self._ring_entries + (len(self._due) - self._due_index) + len(self._overflow)
-
-    @property
-    def resizes(self) -> int:
-        """How many times the bucket width has been refit."""
-        return self._resizes
-
-
-#: Kernel registry for ``Simulator(kernel=...)`` / ``ManetConfig(kernel=...)``.
-KERNELS: dict[str, type] = {
-    HeapKernel.name: HeapKernel,
-    CalendarKernel.name: CalendarKernel,
-}
-
-
-def make_kernel(name: str) -> _KernelBase:
-    try:
-        factory = KERNELS[name]
-    except KeyError:
-        raise SimulationError(
-            f"unknown event kernel {name!r} (use one of: {', '.join(sorted(KERNELS))})"
-        ) from None
-    return factory()
-
-
-def iter_kernel_names() -> Iterable[str]:
-    return tuple(KERNELS)
+    def compactions(self) -> int:
+        return self._compactions

@@ -5,15 +5,11 @@ The simulator is single-threaded and fully deterministic: events fire in
 ``random.Random`` instance owned by the simulator. All higher layers (radio
 medium, routing daemons, SIP timers, RTP schedules) are driven by this clock.
 
-The pending-event structure is pluggable (see :mod:`repro.netsim.kernel`):
-``Simulator(kernel="calendar")`` — the default — uses the O(1)-amortized
-calendar queue; ``kernel="heap"`` selects the reference binary heap. Both
-kernels pop in identical ``(time, seq)`` order, so a seeded run is
-bit-identical under either; the heap stays selectable as the parity
-reference exactly as the brute-force neighbor scan does for the spatial
-index. Hot entry points (``schedule``, ``schedule_at``, ``schedule_batch``)
-are bound straight to the kernel as instance attributes, skipping a
-delegation frame on the busiest calls in the system.
+The clock, sequence counter and pending events live in the event kernel
+(:class:`repro.netsim.kernel.HeapKernel`). Hot entry points (``schedule``,
+``schedule_at``, ``schedule_batch``) are bound straight to the kernel as
+instance attributes, skipping a delegation frame on the busiest calls in the
+system.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ import random
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.netsim.kernel import EventHandle, make_kernel
+from repro.netsim.kernel import EventHandle, HeapKernel
 
 __all__ = ["EventHandle", "PeriodicTask", "Simulator"]
 
@@ -75,23 +71,21 @@ class PeriodicTask:
 class Simulator:
     """Deterministic discrete-event simulator with a virtual clock in seconds.
 
-    Cancelled events either vanish immediately (calendar-queue tail pop) or
-    remain as tombstones swept by hysteresis-bounded lazy compaction; a
-    live-event counter keeps :attr:`pending_events` O(1) either way, so long
-    runs with heavy timer churn (SIP transaction timers are scheduled and
-    cancelled constantly) stay bounded in memory. Neither mechanism ever
-    changes the (time, seq) pop order, so both are invisible to the
-    simulation.
+    Cancelled events remain as tombstones swept by hysteresis-bounded lazy
+    compaction; a live-event counter keeps :attr:`pending_events` O(1), so
+    long runs with heavy timer churn (SIP transaction timers are scheduled
+    and cancelled constantly) stay bounded in memory. Compaction never
+    changes the (time, seq) pop order, so it is invisible to the simulation.
     """
 
-    #: Compaction hysteresis floor (see kernel COMPACT_MIN); kept here for
-    #: backward compatibility with callers sizing queue-hygiene assertions.
-    COMPACT_MIN_QUEUE = 64
+    #: Compaction hysteresis floor, for callers sizing queue-hygiene
+    #: assertions.
+    COMPACT_MIN_QUEUE = HeapKernel.COMPACT_MIN
 
-    def __init__(self, seed: int = 0, kernel: str = "calendar") -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
         self.seed = seed
-        self._kernel = make_kernel(kernel)
+        self._kernel = HeapKernel()
         # Bind the hot scheduling entry points directly to the kernel: one
         # attribute load instead of a Python delegation frame per event.
         self.schedule = self._kernel.schedule
@@ -106,11 +100,6 @@ class Simulator:
         # Optional repro.metrics.profiler.KernelProfiler, set by
         # attach_profiler(); kept for introspection/uninstall.
         self.profiler = None
-
-    @property
-    def kernel(self) -> str:
-        """Name of the active event kernel (``"calendar"`` or ``"heap"``)."""
-        return self._kernel.name
 
     @property
     def now(self) -> float:
@@ -133,7 +122,7 @@ class Simulator:
 
     @property
     def compactions(self) -> int:
-        """How many times the kernel has swept tombstones from its structure."""
+        """How many times the kernel has swept tombstones from its heap."""
         return self._kernel.compactions
 
     def schedule_periodic(
@@ -238,6 +227,6 @@ class Simulator:
 
         Sequence numbers are reserved in input order, so the pop order (and
         every downstream RNG draw) is identical to scheduling each entry
-        individually — see :meth:`repro.netsim.kernel._KernelBase.schedule_batch`.
+        individually — see :meth:`repro.netsim.kernel.HeapKernel.schedule_batch`.
         """
         return self._kernel.schedule_batch(entries)

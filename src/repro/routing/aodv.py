@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import CodecError
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, Packet
 from repro.routing.base import Route, RoutingProtocol
@@ -206,7 +207,11 @@ class Aodv(RoutingProtocol):
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
         if not self.started:
             return
-        message, extensions = decode_aodv(data)
+        try:
+            message, extensions = decode_aodv(data)
+        except CodecError as error:
+            self._drop_malformed(error, src_ip)
+            return
         if isinstance(message, Rreq):
             self._handle_rreq(message, src_ip, extensions)
         elif isinstance(message, Rrep):

@@ -12,6 +12,7 @@ import abc
 import math
 from dataclasses import dataclass, field
 
+from repro.errors import CodecError
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
 
@@ -132,6 +133,18 @@ class RoutingProtocol(abc.ABC):
     @abc.abstractmethod
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
         """Handle a received routing-control datagram."""
+
+    def _drop_malformed(self, error: CodecError, src_ip: str) -> None:
+        """Count and trace an undecodable control datagram instead of raising.
+
+        The counter and the trace event share one name, ``<protocol>.malformed``;
+        a run that never receives such a datagram gains no Stats key.
+        """
+        kind = f"{self.name}.malformed"
+        self.node.stats.increment(kind)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(kind, self.node.ip, src=src_ip, error=str(error))
 
     @property
     def route_count(self) -> int:

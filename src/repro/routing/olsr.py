@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from repro.errors import CodecError
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, Packet
 from repro.routing.base import Route, RoutingProtocol
@@ -222,7 +223,11 @@ class Olsr(RoutingProtocol):
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
         if not self.started:
             return
-        _, messages = decode_olsr_packet(data)
+        try:
+            _, messages = decode_olsr_packet(data)
+        except CodecError as error:
+            self._drop_malformed(error, src_ip)
+            return
         forwarded: list[OlsrMessage] = []
         for message in messages:
             if message.orig_ip == self.node.ip:

@@ -63,7 +63,6 @@ class ManetConfig:
     loss_rate: float = 0.0
     mac_retries: int = 3  # 802.11-style link-layer retransmissions
     spatial_index: bool = True  # False = brute-force O(N) neighbor scans (parity mode)
-    kernel: str = "calendar"  # event kernel: calendar (fast path) | heap (parity ref)
     batch_delivery: bool = True  # False = per-neighbor schedule calls (parity mode)
     mobility: bool = False
     mobility_speed: tuple[float, float] = (0.5, 2.0)
@@ -105,7 +104,7 @@ class ManetScenario:
                 raise ConfigError(f"unknown scenario parameter {key!r}")
             setattr(base, key, value)
         self.config = base
-        self.sim = Simulator(seed=base.seed, kernel=base.kernel)
+        self.sim = Simulator(seed=base.seed)
         self.stats = Stats()
         # Tracing attaches before any stack is built so construction-time
         # events (gateway.up, slp.advertise, ...) are captured too. The

@@ -280,8 +280,13 @@ class SipMessage:
 
     @property
     def contact(self) -> NameAddr | None:
+        """The first Contact as a name-addr; ``None`` if absent or ``*``.
+
+        ``*`` is the REGISTER wildcard (RFC 3261 10.2.2), not an address;
+        a registrar that honours it reads the raw header.
+        """
         raw = self.headers.get("Contact")
-        return NameAddr.parse(raw) if raw else None
+        return NameAddr.parse(raw) if raw and raw.strip() != "*" else None
 
     @property
     def retry_after(self) -> int | None:
@@ -319,6 +324,22 @@ class SipMessage:
 
     def routes(self) -> list[NameAddr]:
         return [NameAddr.parse(raw) for raw in self.headers.get_all("Route")]
+
+    def validate(self) -> None:
+        """Parse every structured header the stack reads; raise on garbage.
+
+        The accessors above parse lazily, so a message that passed framing
+        can still carry a value that raises :class:`SipParseError` deep in
+        a handler. Transports call this once on receipt to reject such a
+        message at the edge. From (with its tag) and To are mandatory (RFC
+        3261 8.1.1.3): every dialog and response is built from them.
+        """
+        from_ = self.from_
+        if from_ is None or from_.tag is None or self.to is None:
+            raise SipParseError("missing To, From or From tag")
+        # Each accessor raises SipParseError on a malformed value.
+        self.cseq, self.contact, self.vias
+        self.routes(), self.record_routes()
 
     def transaction_key(self) -> tuple[str, str]:
         """RFC 3261 (17.1.3/17.2.3) matching key: top branch + CSeq method."""

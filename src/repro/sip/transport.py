@@ -102,6 +102,7 @@ class SipTransport:
     def _on_datagram(self, data: bytes, src_ip: str, src_port: int) -> None:
         try:
             message = parse_message(data)
+            message.validate()
         except SipParseError:
             self.parse_errors += 1
             self.node.stats.increment("sip.parse_errors")

@@ -43,12 +43,14 @@ EVENT_KINDS: dict[str, str] = {
     "aodv.route_expired": "expired/invalid route found on lookup",
     "aodv.discovery_complete": "route discovery resolved, buffer flushed",
     "aodv.discovery_failed": "route discovery exhausted its retries",
+    "aodv.malformed": "undecodable AODV datagram dropped (detail.error)",
     # olsr — proactive link state
     "olsr.hello": "HELLO beacon sent",
     "olsr.tc": "TC message sent (topology dissemination)",
     "olsr.mpr_change": "multipoint relay set changed",
     "olsr.route_recompute": "shortest-path table recomputed",
     "olsr.link_failure": "symmetric link dropped after TX failure",
+    "olsr.malformed": "undecodable OLSR datagram dropped (detail.error)",
     # slp — MANET service location
     "slp.advertise": "local service (re-)registered for dissemination",
     "slp.withdraw": "local service deregistered",

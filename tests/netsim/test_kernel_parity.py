@@ -1,18 +1,24 @@
-"""Cross-kernel same-seed parity: calendar queue vs. reference heap.
+"""Same-seed parity of the event schedule under every performance path.
 
-The calendar-queue kernel and batched medium delivery are pure performance
-work — a seeded scenario must produce *bit-identical* results under either
-kernel and either delivery path. This mirrors ``test_determinism.py`` but
-turns the screws harder: the scenario runs with tracing, a bursty-loss
-channel model, a timed fault schedule (crash/restart + partition/heal) and
-bounded TX queues all enabled, then compares complete Stats summaries,
-event/pending counts AND the byte-for-byte trace export.
+Batched medium delivery is pure performance work — a seeded scenario must
+produce *bit-identical* results whether broadcasts ride one kernel entry
+or are scheduled per neighbour, and two runs of the same seed must agree.
+The run is also pinned to the trace digest each former kernel recorded
+for it: the heap kernel and the removed calendar queue produced the same
+bytes, and the single heap kernel must keep producing them.
+This mirrors ``test_determinism.py`` but turns the screws harder: the
+scenario runs with tracing, a bursty-loss channel model, a timed fault
+schedule (crash/restart + partition/heal) and bounded TX queues all
+enabled, then compares complete Stats summaries, event/pending counts AND
+the byte-for-byte trace export.
 
 Identifier counters (call-ids, branches, packet uids, ...) are process-
 global, so in-process reruns reset them via the global-state registry's
-``reset_all`` — the subprocess variant of this gate (``tools/check.sh``)
-needs no reset.
+``reset_all`` — the fresh-interpreter variant of this gate
+(``python -m repro.netsim trace`` in ``tools/check.sh``) needs no reset.
 """
+
+import hashlib
 
 import pytest
 
@@ -21,7 +27,12 @@ from repro.faults.plan import FaultPlan
 from repro.globalstate import registry
 from repro.scenarios import ManetConfig, ManetScenario
 
-KERNELS = ("heap", "calendar")
+# sha256 of ``run_scenario()``'s trace export as recorded under each kernel
+# before the calendar queue was deleted (5,969,448 bytes; 31,079 events processed).
+RECORDED_TRACE_SHA256 = {
+    "heap": "3c5764c0d6b5252049b3e9b7dff0474e31fc1d2210400e4818035a4d8c8b7c8b",
+    "calendar": "3c5764c0d6b5252049b3e9b7dff0474e31fc1d2210400e4818035a4d8c8b7c8b",
+}
 
 
 def build_plan() -> FaultPlan:
@@ -35,7 +46,7 @@ def build_plan() -> FaultPlan:
     )
 
 
-def run_scenario(kernel: str, batch_delivery: bool = True) -> tuple[dict, int, int, str]:
+def run_scenario(batch_delivery: bool = True) -> tuple[dict, int, int, str]:
     registry.reset_all()
     scenario = ManetScenario(
         ManetConfig(
@@ -50,7 +61,6 @@ def run_scenario(kernel: str, batch_delivery: bool = True) -> tuple[dict, int, i
             faults=build_plan(),
             tx_queue_capacity=16,
             tx_queue_policy="tail-drop",
-            kernel=kernel,
             batch_delivery=batch_delivery,
         )
     )
@@ -71,25 +81,18 @@ def run_scenario(kernel: str, batch_delivery: bool = True) -> tuple[dict, int, i
 
 
 class TestKernelParity:
-    def test_calendar_matches_heap_bit_for_bit(self):
-        heap = run_scenario("heap")
-        calendar = run_scenario("calendar")
-        assert heap[1] == calendar[1]  # events processed: schedule identity
-        assert heap[2] == calendar[2]  # pending events
-        assert heap[0]["traffic"] == calendar[0]["traffic"]
-        assert heap[0]["counters"] == calendar[0]["counters"]
-        assert heap[0]["samples"] == calendar[0]["samples"]
-        assert heap[3] == calendar[3]  # byte-identical trace export
-        # The scenario exercised faults and shedding, not just happy paths.
-        assert '"fault.node_crash"' in heap[3]
-        assert '"fault.partition"' in heap[3]
-        assert heap[0]["traffic"]["total"]["packets"] > 100
-
     def test_batched_delivery_matches_per_neighbor_schedule(self):
-        batched = run_scenario("calendar", batch_delivery=True)
-        unbatched = run_scenario("calendar", batch_delivery=False)
+        batched = run_scenario(batch_delivery=True)
+        unbatched = run_scenario(batch_delivery=False)
         assert batched == unbatched
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", ("heap", "calendar"))
     def test_same_seed_same_run(self, kernel):
-        assert run_scenario(kernel) == run_scenario(kernel)
+        first = run_scenario()
+        assert first == run_scenario()
+        digest = hashlib.sha256(first[3].encode()).hexdigest()
+        assert digest == RECORDED_TRACE_SHA256[kernel]
+        # The scenario exercised faults and shedding, not just happy paths.
+        assert '"fault.node_crash"' in first[3]
+        assert '"fault.partition"' in first[3]
+        assert first[0]["traffic"]["total"]["packets"] > 100

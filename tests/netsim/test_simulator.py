@@ -112,7 +112,7 @@ class TestQueueHygiene:
         assert sim.queue_size == 0
 
     def test_heap_compaction_bounds_tombstones(self):
-        sim = Simulator(kernel="heap")
+        sim = Simulator()
         for _ in range(50_000):
             sim.schedule(1.0, lambda: None).cancel()
         # Without compaction the heap would hold 50k tombstones.
@@ -120,34 +120,8 @@ class TestQueueHygiene:
         assert sim.pending_events == 0
         assert sim.compactions > 0
 
-    def test_calendar_tail_pop_leaves_no_tombstones(self):
-        # Schedule-then-cancel churn cancels the newest entry in its bucket:
-        # the calendar kernel pops it O(1) — no tombstone, no compaction.
-        sim = Simulator(kernel="calendar")
-        for _ in range(50_000):
-            sim.schedule(1.0, lambda: None).cancel()
-        assert sim.queue_size == 0
-        assert sim.pending_events == 0
-        assert sim.compactions == 0
-
-    def test_calendar_compaction_bounds_interleaved_tombstones(self):
-        # Cancel out of LIFO order so the first cancellation is never the
-        # bucket tail — forcing the tombstone path — then verify the sweep
-        # keeps the structure bounded without disturbing live events.
-        sim = Simulator(kernel="calendar")
-        keep = sim.schedule(2.0, lambda: None)
-        for _ in range(25_000):
-            first = sim.schedule(1.0, lambda: None)
-            second = sim.schedule(1.0, lambda: None)
-            first.cancel()  # non-tail: tombstone
-            second.cancel()  # tail: O(1) pop
-        assert sim.queue_size < 4 * Simulator.COMPACT_MIN_QUEUE
-        assert sim.pending_events == 1
-        assert sim.compactions > 0
-        assert not keep.done
-
     def test_compaction_preserves_live_events_and_order(self):
-        sim = Simulator(kernel="heap")
+        sim = Simulator()
         fired = []
         sim.schedule(0.5, fired.append, "b")
         sim.schedule(0.2, fired.append, "a")
@@ -160,12 +134,11 @@ class TestQueueHygiene:
         assert fired == ["a", "b", "c"]
 
     def test_periodic_stop_churn_stays_bounded(self):
-        for kernel in ("heap", "calendar"):
-            sim = Simulator(kernel=kernel)
-            for _ in range(5_000):
-                sim.schedule_periodic(1.0, lambda: None).stop()
-            assert sim.queue_size < Simulator.COMPACT_MIN_QUEUE
-            assert sim.pending_events == 0
+        sim = Simulator()
+        for _ in range(5_000):
+            sim.schedule_periodic(1.0, lambda: None).stop()
+        assert sim.queue_size < Simulator.COMPACT_MIN_QUEUE
+        assert sim.pending_events == 0
 
     def test_compaction_invisible_to_event_stream(self):
         """Same seed + same schedule => same firing trace with/without churn."""
