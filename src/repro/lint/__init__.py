@@ -14,7 +14,7 @@ Usage::
     python -m repro.lint --format json src/
     python -m repro.lint --list-rules
 
-Rules (see DESIGN.md §5c for rationale):
+Rules (see DESIGN.md §5c and §5h for rationale):
 
 ========  ====================================================================
 DET001    wall-clock reads (``time.time``/``monotonic``/``perf_counter``,
@@ -23,14 +23,22 @@ DET002    module-level ``random.*`` calls / un-seeded ``random.Random()``
 DET003    iteration over bare ``set``/``frozenset`` in ``netsim/``, ``core/``,
           ``routing/`` (set order feeds event scheduling)
 CACHE001  external mutation of cache-versioned private attributes of
-          ``Headers``/``SipMessage``/``Packet``
+          ``Headers``/``SipMessage``
 CACHE002  writes to ``Node._position`` that bypass the epoch-notifying setter
 SIM001    ``==``/``!=`` on simulation-time expressions (float clock values)
 FAULT001  wall-clock or ``random.*`` (even seeded) under ``faults/``
+OBS001    wall-clock or ``random.*`` (even seeded) under ``metrics/`` and
+          ``handover/`` (``metrics/profiler.py`` exempt)
 OVR001    unbounded queues in ``netsim/`` and ``core/`` hot paths
 PERF001   direct ``heapq`` use outside ``repro/netsim/kernel.py`` (event
-          ordering must go through the pluggable kernel)
+          ordering must go through the event kernel)
+SHARD001  whole-program: module-level mutable state written at runtime but
+          not registered with ``repro.globalstate.registry`` (in-process
+          reruns rely on ``registry.reset_all()``)
 ========  ====================================================================
+
+DET002 also runs a whole-program sweep: the global ``random`` module
+passed as an argument to a parameter that draws from it.
 
 Findings are suppressed per line with ``# lint: disable=RULEID`` (comma
 separated ids, or bare ``# lint: disable`` for every rule).
@@ -38,7 +46,6 @@ separated ids, or bare ``# lint: disable`` for every rule).
 
 from repro.lint.core import (
     Finding,
-    LintEngine,
     Rule,
     RuleVisitor,
     analyze_file,
@@ -52,7 +59,6 @@ from repro.lint.rules import ALL_RULES, get_rules
 __all__ = [
     "ALL_RULES",
     "Finding",
-    "LintEngine",
     "Rule",
     "RuleVisitor",
     "analyze_file",

@@ -2,50 +2,33 @@
 
 Options::
 
-    --format text|json|sarif   report format (default: text)
-    --select IDS               comma-separated rule ids to run
-    --changed                  report only findings in files whose content
-                               changed since the cached run (whole-program
-                               analysis still covers every file)
-    --no-cache                 ignore and do not write .lint_cache/
-    --cache-dir DIR            cache location (default: .lint_cache)
-    --baseline FILE            grandfathered-findings file
-                               (default: lint_baseline.json if present)
-    --write-baseline           write current findings to the baseline file
-    --list-rules               print the rule registry and exit
+    --format text|json   report format (default: text)
+    --select IDS         comma-separated rule ids to run
+    --list-rules         print the rule registry and exit
 
-Exits 0 when every checked file is clean (net of the baseline), 1 when
-there are findings, and 2 on usage errors (unknown rule id, no files).
+Every run analyzes the whole tree cold. Exits 0 when every checked file
+is clean, 1 when there are findings, and 2 on usage errors (unknown rule
+id, no files).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Sequence
 
-from repro.lint.core import (
-    ProjectAnalyzer,
-    apply_baseline,
-    iter_python_files,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.reporters import render_json, render_sarif, render_text
+from repro.lint.core import ProjectAnalyzer, iter_python_files
+from repro.lint.reporters import render_json, render_text
 from repro.lint.rules import ALL_RULES, get_rules
 
-DEFAULT_BASELINE = "lint_baseline.json"
-DEFAULT_CACHE_DIR = ".lint_cache"
-
-_RENDERERS = {"text": render_text, "json": render_json, "sarif": render_sarif}
+_RENDERERS = {"text": render_text, "json": render_json}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Determinism, cache-coherence & shard-safety static "
-        "analyzer for the SIPHoc reproduction (whole-program).",
+        description="Determinism & cache-coherence static analyzer for the "
+        "SIPHoc reproduction (whole-program).",
     )
     parser.add_argument(
         "paths",
@@ -63,34 +46,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--select",
         metavar="IDS",
         help="comma-separated rule ids to run (default: all rules)",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="report only findings in files changed since the cached run",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the summary cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=DEFAULT_CACHE_DIR,
-        help=f"summary-cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=f"baseline file of grandfathered findings (default: "
-        f"{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -118,32 +73,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"no python files under: {', '.join(args.paths)}", file=sys.stderr)
         return 2
 
-    cache_dir = None if args.no_cache else args.cache_dir
-    analyzer = ProjectAnalyzer(rules, cache_dir=cache_dir)
-    result = analyzer.analyze_paths(files, use_cache=not args.no_cache)
-    findings = result.findings
-
-    baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE).is_file():
-        baseline_path = DEFAULT_BASELINE
-
-    if args.write_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        write_baseline(findings, target)
-        print(f"baseline: wrote {len(findings)} findings to {target}")
-        return 0
-
-    baselined = 0
-    if baseline_path is not None:
-        findings, baselined = apply_baseline(findings, load_baseline(baseline_path))
-
-    if args.changed:
-        changed = set(result.changed_paths)
-        findings = [finding for finding in findings if finding.path in changed]
-
+    result = ProjectAnalyzer(rules).analyze_paths(files)
     renderer = _RENDERERS[args.format]
-    print(renderer(findings, files_checked=result.files_checked, baselined=baselined))
-    return 1 if findings else 0
+    print(renderer(result.findings, files_checked=result.files_checked))
+    return 1 if result.findings else 0
 
 
 if __name__ == "__main__":

@@ -1,19 +1,15 @@
-"""Analyzer core: findings, suppressions, the visitor framework, the engines.
+"""Analyzer core: findings, suppressions, the visitor framework, the engine.
 
-Two analysis stages share this module. The *per-file* stage is PR 2's
-design: a :class:`Rule` inspects one module AST and reports
-:class:`Finding`\\ s through a :class:`FileContext`; most rules subclass
-:class:`RuleVisitor`. The *whole-program* stage added for the SHARD rule
-family runs after every file has been summarized: a :class:`ProgramRule`
-sees the :class:`~repro.lint.graph.ProjectGraph` of module summaries and
-reports findings into any module, with that module's suppression table
-still honoured.
+Two analysis stages share this module. The *per-file* stage runs each
+:class:`Rule` over one module AST; rules report :class:`Finding`\\ s
+through a :class:`FileContext`, and most subclass :class:`RuleVisitor`.
+The *whole-program* stage runs after every file has been summarized: a
+:class:`ProgramRule` sees the :class:`~repro.lint.graph.ProjectGraph` of
+module summaries and reports findings into any module, with that module's
+suppressions still honoured.
 
-:class:`ProjectAnalyzer` orchestrates both stages and owns the
-incremental cache: per-module summaries (including per-file findings) are
-stored under ``.lint_cache/`` keyed by content hash and an engine
-fingerprint (a hash of the analyzer's own sources), so warm runs skip the
-parse/visit work entirely while emitting byte-identical reports.
+:class:`ProjectAnalyzer` runs both stages, cold, over the whole tree on
+every invocation.
 
 Suppression: a trailing ``# lint: disable=DET001`` (comma-separated ids)
 or a bare ``# lint: disable`` silences findings reported on that physical
@@ -25,14 +21,12 @@ opt-out would defeat the determinism contract the analyzer enforces.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 #: Matches ``# lint: disable`` / ``# lint: disable=DET001,CACHE001``.
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*disable(?:\s*=\s*(?P<ids>[A-Za-z0-9_,\s]+))?")
@@ -65,20 +59,6 @@ class Finding:
             "rule": self.rule_id,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "Finding":
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            rule_id=str(data["rule"]),
-            message=str(data["message"]),
-        )
-
-    def fingerprint(self) -> str:
-        """Line-insensitive identity used by the committed baseline."""
-        return f"{self.path}::{self.rule_id}::{self.message}"
 
 
 class Suppressions:
@@ -137,10 +117,6 @@ class Suppressions:
         if not ids:
             return False
         return _ALL_RULES in ids or rule_id.upper() in ids
-
-    def table(self) -> dict[int, list[str]]:
-        """The line -> rule-id table, serializable for module summaries."""
-        return {line: sorted(ids) for line, ids in self._by_line.items()}
 
 
 class FileContext:
@@ -220,11 +196,11 @@ class Rule:
 
 
 class ProgramRule(Rule):
-    """Base class for whole-program rules (the SHARD family).
+    """Base class for whole-program rules (SHARD001, the DET002 sweep).
 
     These run once per analysis over the assembled
     :class:`~repro.lint.graph.ProjectGraph` instead of per file; they see
-    every module's summary (imports, symbol tables, dataflow facts) and
+    every module's summary (imports, dataflow facts) and
     report through ``report(summary, line, col, message)``. Suppression
     comments in the *flagged* module still apply.
     """
@@ -306,7 +282,7 @@ class ProgramReporter:
         self, summary: ModuleSummary, line: int, col: int, message: str
     ) -> None:
         assert self._rule is not None
-        if summary.is_suppressed(line, self._rule.id):
+        if summary.suppressions.is_suppressed(line, self._rule.id):
             self.suppressed_count += 1
             return
         self.findings.append(
@@ -320,148 +296,68 @@ class ProjectResult:
 
     findings: list[Finding]
     files_checked: int
-    changed_paths: list[str] = field(default_factory=list)
-    cached_paths: list[str] = field(default_factory=list)
-
-    @property
-    def cache_hits(self) -> int:
-        return len(self.cached_paths)
 
 
-_engine_fingerprint_cache: str | None = None
-
-
-def engine_fingerprint() -> str:
-    """Hash of the analyzer's own sources; any rule edit invalidates caches."""
-    global _engine_fingerprint_cache
-    if _engine_fingerprint_cache is None:
-        digest = hashlib.sha256()
-        package_dir = Path(__file__).parent
-        for path in sorted(package_dir.glob("*.py")):
-            digest.update(path.name.encode())
-            digest.update(path.read_bytes())
-        _engine_fingerprint_cache = digest.hexdigest()
-    return _engine_fingerprint_cache
-
-
-def _content_hash(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-class SummaryCache:
-    """The ``.lint_cache/`` store: one JSON document of module summaries.
-
-    Entries are keyed by file path and validated against the file's
-    content hash, the engine fingerprint, and the active rule-set ids, so
-    a stale entry can never be served: editing the file, editing the
-    analyzer, or running with ``--select`` all miss.
-    """
-
-    FILENAME = "summaries.json"
-
-    def __init__(self, directory: str | Path, ruleset: str = "") -> None:
-        self.directory = Path(directory)
-        self.path = self.directory / self.FILENAME
-        self.ruleset = ruleset
-        self._entries: dict[str, dict] = {}
-        self._dirty = False
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            document = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        if document.get("engine") != engine_fingerprint():
-            return
-        if document.get("rules", "") != self.ruleset:
-            return
-        entries = document.get("entries")
-        if isinstance(entries, dict):
-            self._entries = entries
-
-    def get(self, path: str, sha: str) -> ModuleSummary | None:
-        entry = self._entries.get(path)
-        if entry is None or entry.get("sha") != sha:
-            return None
-        try:
-            return ModuleSummary.from_dict(entry)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def previous_sha(self, path: str) -> str | None:
-        entry = self._entries.get(path)
-        return entry.get("sha") if entry is not None else None
-
-    def put(self, summary: ModuleSummary) -> None:
-        self._entries[summary.path] = summary.to_dict()
-        self._dirty = True
-
-    def save(self) -> None:
-        if not self._dirty:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        document = {
-            "engine": engine_fingerprint(),
-            "rules": self.ruleset,
-            "entries": self._entries,
-        }
-        self.path.write_text(
-            json.dumps(document, indent=None, sort_keys=True), encoding="utf-8"
-        )
-        self._dirty = False
+def _unreadable(path: str, line: int, col: int, message: str) -> ModuleSummary:
+    """Summary of a module that could not be decoded or parsed."""
+    finding = Finding(path, line, col, "PARSE", message)
+    return ModuleSummary(
+        path=path,
+        module=module_name_for_path(Path(path)),
+        suppressions=Suppressions(""),
+        findings=[finding],
+    )
 
 
 class ProjectAnalyzer:
-    """Runs the per-file stage (cached) plus the whole-program stage."""
+    """Runs the per-file stage over every module, then the whole-program stage."""
 
-    def __init__(
-        self,
-        rules: Sequence[Rule] | None = None,
-        cache_dir: str | Path | None = None,
-    ) -> None:
+    def __init__(self, rules: Sequence[Rule] | None = None) -> None:
         if rules is None:
             from repro.lint.rules import ALL_RULES
 
             rules = ALL_RULES
         self.file_rules = [r for r in rules if not isinstance(r, ProgramRule)]
         self.program_rules = [r for r in rules if isinstance(r, ProgramRule)]
-        ruleset = ",".join(sorted({rule.id for rule in rules}))
-        self.cache = (
-            SummaryCache(cache_dir, ruleset=ruleset) if cache_dir is not None else None
-        )
 
     # -- per-file stage ----------------------------------------------------
 
+    def summarize_file(self, path: Path) -> ModuleSummary:
+        """Read one module and summarize it; undecodable bytes are a ``PARSE`` finding."""
+        try:
+            source = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raw = exc.object
+            line_start = raw.rfind(b"\n", 0, exc.start) + 1
+            return _unreadable(
+                str(path),
+                raw.count(b"\n", 0, exc.start) + 1,
+                exc.start - line_start + 1,
+                f"cannot decode source as UTF-8: {exc.reason} (byte 0x{raw[exc.start]:02x})",
+            )
+        return self.summarize_source(source, str(path))
+
     def summarize_source(self, source: str, path: str) -> ModuleSummary:
         """Run per-file rules and dataflow extraction over one module."""
-        sha = _content_hash(source)
-        module = module_name_for_path(Path(path))
-        ctx = FileContext(path, source)
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            line = exc.lineno or 1
-            col = exc.offset or 1
-            finding = Finding(path, line, col, "PARSE", f"syntax error: {exc.msg}")
-            return ModuleSummary(
-                path=path, module=module, sha=sha, file_findings=[finding.to_dict()]
+            return _unreadable(
+                path, exc.lineno or 1, exc.offset or 1, f"syntax error: {exc.msg}"
             )
+        ctx = FileContext(path, source)
         ctx.build_import_map(tree)
         resolved = Path(path)
         for rule in self.file_rules:
             if rule.applies_to(resolved):
                 rule.check(tree, ctx)
-        flow = _analyze_dataflow(tree, ctx.import_map)
-        findings = sorted(ctx.findings, key=Finding.sort_key)
         return ModuleSummary(
             path=path,
-            module=module,
-            sha=sha,
-            import_map=dict(ctx.import_map),
-            suppress=ctx.suppressions.table(),
-            file_findings=[finding.to_dict() for finding in findings],
-            flow=flow,
+            module=module_name_for_path(resolved),
+            suppressions=ctx.suppressions,
+            import_map=ctx.import_map,
+            findings=sorted(ctx.findings, key=Finding.sort_key),
+            flow=_analyze_dataflow(tree, ctx.import_map),
         )
 
     # -- whole-program stage ----------------------------------------------
@@ -473,119 +369,24 @@ class ProjectAnalyzer:
             rule.check_program(graph, reporter)
         return reporter.findings
 
+    def _analyze(self, summaries: list[ModuleSummary]) -> list[Finding]:
+        findings = [finding for summary in summaries for finding in summary.findings]
+        findings.extend(self.run_program_rules(ProjectGraph(summaries)))
+        return sorted(findings, key=Finding.sort_key)
+
     # -- orchestration -----------------------------------------------------
 
-    def analyze_paths(
-        self, paths: Iterable[str | Path], use_cache: bool = True
-    ) -> ProjectResult:
+    def analyze_paths(self, paths: Iterable[str | Path]) -> ProjectResult:
         files = list(iter_python_files(paths))
-        summaries: list[ModuleSummary] = []
-        changed: list[str] = []
-        cached: list[str] = []
-        for file_path in files:
-            source = Path(file_path).read_text(encoding="utf-8")
-            sha = _content_hash(source)
-            key = str(file_path)
-            summary = None
-            if use_cache and self.cache is not None:
-                summary = self.cache.get(key, sha)
-            if summary is not None:
-                cached.append(key)
-            else:
-                summary = self.summarize_source(source, key)
-                changed.append(key)
-                if self.cache is not None:
-                    self.cache.put(summary)
-            summaries.append(summary)
-        if self.cache is not None:
-            self.cache.save()
-        graph = ProjectGraph(summaries)
-        findings = [
-            Finding.from_dict(data)
-            for summary in summaries
-            for data in summary.file_findings
-        ]
-        findings.extend(self.run_program_rules(graph))
-        return ProjectResult(
-            findings=sorted(findings, key=Finding.sort_key),
-            files_checked=len(files),
-            changed_paths=changed,
-            cached_paths=cached,
-        )
+        summaries = [self.summarize_file(path) for path in files]
+        return ProjectResult(findings=self._analyze(summaries), files_checked=len(files))
 
     def analyze_source(self, source: str, path: str = "<string>") -> list[Finding]:
         """Single-module analysis: per-file rules plus a one-module program."""
-        summary = self.summarize_source(source, path)
-        findings = [Finding.from_dict(data) for data in summary.file_findings]
-        findings.extend(self.run_program_rules(ProjectGraph([summary])))
-        return sorted(findings, key=Finding.sort_key)
+        return self._analyze([self.summarize_source(source, path)])
 
     def analyze_file(self, path: str | Path) -> list[Finding]:
-        text = Path(path).read_text(encoding="utf-8")
-        return self.analyze_source(text, str(path))
-
-
-class LintEngine:
-    """Backwards-compatible facade over :class:`ProjectAnalyzer`.
-
-    PR 2's per-file engine API, kept for callers and tests; whole-program
-    rules run over each call's file set as one program.
-    """
-
-    def __init__(self, rules: Sequence[Rule]) -> None:
-        self.rules = list(rules)
-        self._analyzer = ProjectAnalyzer(self.rules)
-
-    def analyze_source(self, source: str, path: str = "<string>") -> list[Finding]:
-        return self._analyzer.analyze_source(source, path)
-
-    def analyze_file(self, path: str | Path) -> list[Finding]:
-        return self._analyzer.analyze_file(path)
-
-    def run(self, paths: Iterable[str | Path]) -> list[Finding]:
-        return self._analyzer.analyze_paths(paths, use_cache=False).findings
-
-
-# ---------------------------------------------------------------------------
-# Baselines
-# ---------------------------------------------------------------------------
-
-
-def load_baseline(path: str | Path) -> set[str]:
-    """Load committed finding fingerprints; missing file = empty baseline."""
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError:
-        return set()
-    entries = document.get("findings", []) if isinstance(document, dict) else []
-    out: set[str] = set()
-    for entry in entries:
-        if isinstance(entry, dict):
-            out.add(f"{entry.get('path')}::{entry.get('rule')}::{entry.get('message')}")
-    return out
-
-
-def write_baseline(findings: Sequence[Finding], path: str | Path) -> None:
-    """Persist current findings as the grandfathered baseline."""
-    document = {
-        "comment": (
-            "repro.lint baseline: grandfathered findings, matched by "
-            "(path, rule, message) — line numbers may drift. Shrink, never grow."
-        ),
-        "findings": [
-            {"path": f.path, "rule": f.rule_id, "message": f.message}
-            for f in sorted(findings, key=Finding.sort_key)
-        ],
-    }
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: set[str]
-) -> tuple[list[Finding], int]:
-    """Split findings into (fresh, baselined-count)."""
-    fresh = [f for f in findings if f.fingerprint() not in baseline]
-    return fresh, len(findings) - len(fresh)
+        return self._analyze([self.summarize_file(Path(path))])
 
 
 # ---------------------------------------------------------------------------
@@ -603,27 +404,20 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield path
 
 
-def _default_analyzer(rules: Sequence[Rule] | None = None) -> ProjectAnalyzer:
-    return ProjectAnalyzer(rules)
-
-
 def analyze_source(
     source: str, path: str = "<string>", rules: Sequence[Rule] | None = None
 ) -> list[Finding]:
     """Analyze one module's source text with the given (default: all) rules."""
-    return _default_analyzer(rules).analyze_source(source, path)
+    return ProjectAnalyzer(rules).analyze_source(source, path)
 
 
 def analyze_file(path: str | Path, rules: Sequence[Rule] | None = None) -> list[Finding]:
     """Analyze one file on disk."""
-    return _default_analyzer(rules).analyze_file(path)
+    return ProjectAnalyzer(rules).analyze_file(path)
 
 
 def run_paths(
-    paths: Iterable[str | Path],
-    rules: Sequence[Rule] | None = None,
-    cache_dir: str | Path | None = None,
+    paths: Iterable[str | Path], rules: Sequence[Rule] | None = None
 ) -> list[Finding]:
     """Analyze every ``.py`` file under ``paths`` as one whole program."""
-    analyzer = ProjectAnalyzer(rules, cache_dir=cache_dir)
-    return analyzer.analyze_paths(paths).findings
+    return ProjectAnalyzer(rules).analyze_paths(paths).findings

@@ -1,18 +1,16 @@
-"""Intra-procedural dataflow and escape analysis for the whole-program pass.
+"""Intra-procedural dataflow facts for the whole-program pass.
 
-This module answers, per function, the questions the SHARD rule family
-needs: which locals hold seeded RNG objects and where do they escape to?
-Which nested closures capture a ``Simulator``/``WirelessMedium`` reference
-and do they leak out of the function into module-global state? Which
-module globals does the function write at runtime — locally or across a
-module boundary? Which attribute assignments store unpicklable values
-(open files, lambdas, generators)?
+This module answers, per function, the two questions the whole-program
+rules need. Which module globals does the function write at runtime —
+locally or across a module boundary (SHARD001)? Which of its parameters
+draw from an RNG, and which of its call sites pass the bare ``random``
+module as an argument (the DET002 indirection sweep)? Per module it also
+lists the mutable module-level bindings and whether each is registered
+with :mod:`repro.globalstate`.
 
-Everything extracted here is plain data (:class:`FunctionFlow`,
-:class:`ClassFlow`, :class:`ModuleFlow`) that serializes to JSON, because
-the incremental cache stores these summaries per content hash and the
-cross-module pass in :mod:`repro.lint.graph` must be able to run without
-re-parsing unchanged files.
+The facts are plain data (:class:`FunctionFlow`, :class:`ModuleFlow`) so
+:mod:`repro.lint.graph` can join them across modules without touching an
+AST again.
 
 The analysis is deliberately conservative and syntactic: no fixpoints, no
 aliasing beyond single assignment chains. False negatives are acceptable
@@ -24,23 +22,14 @@ clean tree.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 __all__ = [
-    "ClassFlow",
     "FunctionFlow",
     "ModuleFlow",
     "analyze_module",
 ]
-
-#: Attribute names whose bearer is treated as a simulator/kernel reference.
-SIM_PARAM_NAMES = frozenset({"sim", "simulator", "kernel", "medium"})
-
-#: Type names (terminal identifier) that tag a value as a simulator/kernel
-#: or radio-medium reference.
-SIM_TYPE_NAMES = frozenset({"Simulator", "WirelessMedium", "HeapKernel"})
 
 #: ``random.Random`` consumer methods: a parameter these are called on is
 #: an RNG sink, so passing the global ``random`` module into it smuggles
@@ -104,7 +93,7 @@ MUTABLE_CONSTRUCTORS = {
 }
 
 #: Dotted prefixes that mark a module-level binding as registered with the
-#: global-state registry (repro.globalstate) and therefore shard-aware.
+#: global-state registry (repro.globalstate) and therefore resettable.
 REGISTRY_PREFIXES = ("repro.globalstate.",)
 REGISTRY_FACTORY_SUFFIXES = (
     ".registry.counter",
@@ -154,20 +143,12 @@ def mutable_kind(value: ast.expr, import_map: dict[str, str]) -> str | None:
 
 @dataclass
 class FunctionFlow:
-    """Per-function dataflow facts, JSON-serializable."""
+    """Per-function dataflow facts."""
 
     qualname: str
-    line: int
-    is_generator: bool = False
     params: list[str] = field(default_factory=list)
     #: Params that have RNG consumer methods called on them.
     rng_consuming_params: list[str] = field(default_factory=list)
-    #: Seeded ``random.Random(seed)`` locals -> constructor-call sinks they
-    #: are passed into: ``[{name, line, col, sinks: [{callee, line, col}]}]``.
-    rng_flows: list[dict[str, Any]] = field(default_factory=list)
-    #: Sim-capturing closures that escape to module scope:
-    #: ``[{line, col, closure, captures, via}]``.
-    closure_escapes: list[dict[str, Any]] = field(default_factory=list)
     #: Module globals this function writes at runtime: ``[{name, line, col, how}]``.
     global_writes: list[dict[str, Any]] = field(default_factory=list)
     #: Writes to another module's top-level binding:
@@ -177,61 +158,6 @@ class FunctionFlow:
     #: Call sites passing the bare ``random`` module as an argument:
     #: ``[{callee, line, col, arg_position, keyword}]``.
     random_module_args: list[dict[str, Any]] = field(default_factory=list)
-    #: Unpicklable values stored on object attributes:
-    #: ``[{owner, attr, line, col, kind}]`` where owner is ``"self"``, a
-    #: dotted class name (local constructor-bound variable), or ``"?"``.
-    unpicklable_attr_assigns: list[dict[str, Any]] = field(default_factory=list)
-    #: ``self.x = ClassName(...)`` composition edges (dotted callee names).
-    self_compositions: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "is_generator": self.is_generator,
-            "params": self.params,
-            "rng_consuming_params": sorted(self.rng_consuming_params),
-            "rng_flows": self.rng_flows,
-            "closure_escapes": self.closure_escapes,
-            "global_writes": self.global_writes,
-            "external_writes": self.external_writes,
-            "random_module_args": self.random_module_args,
-            "unpicklable_attr_assigns": self.unpicklable_attr_assigns,
-            "self_compositions": sorted(set(self.self_compositions)),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FunctionFlow":
-        return cls(**data)
-
-
-@dataclass
-class ClassFlow:
-    """Per-class facts: bases, composition edges, schedulability."""
-
-    name: str
-    line: int
-    bases: list[str] = field(default_factory=list)
-    methods: list[str] = field(default_factory=list)
-    #: True when any method calls an attribute starting with ``schedule`` —
-    #: the class arms events on a kernel, so it is independently schedulable.
-    schedulable: bool = False
-    #: Dotted names of classes instantiated and stored on ``self``.
-    compositions: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": self.bases,
-            "methods": sorted(self.methods),
-            "schedulable": self.schedulable,
-            "compositions": sorted(set(self.compositions)),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ClassFlow":
-        return cls(**data)
 
 
 @dataclass
@@ -240,27 +166,7 @@ class ModuleFlow:
 
     #: Module-level mutable bindings: ``[{name, line, col, kind, registered}]``.
     mutable_globals: list[dict[str, Any]] = field(default_factory=list)
-    #: All module-level binding names (for escape analysis).
-    global_names: list[str] = field(default_factory=list)
     functions: list[FunctionFlow] = field(default_factory=list)
-    classes: list[ClassFlow] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "mutable_globals": self.mutable_globals,
-            "global_names": sorted(self.global_names),
-            "functions": [fn.to_dict() for fn in self.functions],
-            "classes": [cls_.to_dict() for cls_ in self.classes],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ModuleFlow":
-        return cls(
-            mutable_globals=data["mutable_globals"],
-            global_names=list(data["global_names"]),
-            functions=[FunctionFlow.from_dict(d) for d in data["functions"]],
-            classes=[ClassFlow.from_dict(d) for d in data["classes"]],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -294,42 +200,6 @@ def _iter_scope(node: ast.AST) -> Iterator[ast.AST]:
             stack.extend(ast.iter_child_nodes(child))
 
 
-def _assigned_names(scope: ast.AST) -> set[str]:
-    """Names bound (assigned, for-target, with-target, ...) in this scope."""
-    names: set[str] = set()
-    for node in _iter_scope(scope):
-        if isinstance(node, (ast.Name,)) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-    return names
-
-
-def _free_names(func: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
-    """Names read inside ``func`` (any depth) that it does not bind itself."""
-    bound: set[str] = set()
-    if isinstance(func, ast.Lambda):
-        args = func.args
-    else:
-        args = func.args
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        bound.add(arg.arg)
-    if args.vararg:
-        bound.add(args.vararg.arg)
-    if args.kwarg:
-        bound.add(args.kwarg.arg)
-    read: set[str] = set()
-    body = func.body if isinstance(func.body, list) else [func.body]
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                if isinstance(node.ctx, ast.Store):
-                    bound.add(node.id)
-                else:
-                    read.add(node.id)
-    return read - bound
-
-
 def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     args = func.args
     names = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]]
@@ -338,46 +208,6 @@ def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     if args.kwarg:
         names.append(args.kwarg.arg)
     return names
-
-
-def _annotation_text(annotation: ast.expr | None) -> str:
-    if annotation is None:
-        return ""
-    try:
-        return ast.unparse(annotation)
-    except Exception:  # pragma: no cover - defensive
-        return ""
-
-
-def _is_sim_annotation(annotation: ast.expr | None) -> bool:
-    text = _annotation_text(annotation)
-    return any(name in text for name in SIM_TYPE_NAMES)
-
-
-#: A plain (possibly dotted, possibly string-quoted) class annotation.
-_CLASS_ANNOTATION_RE = re.compile(r"^[\"']?([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)[\"']?$")
-
-#: Annotation spellings that are never project classes.
-_NON_CLASS_ANNOTATIONS = frozenset(
-    {"int", "float", "str", "bytes", "bool", "object", "None", "Any", "typing.Any"}
-)
-
-
-def _annotation_class(annotation: ast.expr | None, import_map: dict[str, str]) -> str | None:
-    """Dotted class name from a simple annotation, or ``None``."""
-    match = _CLASS_ANNOTATION_RE.match(_annotation_text(annotation))
-    if match is None:
-        return None
-    text = match.group(1)
-    if text in _NON_CLASS_ANNOTATIONS:
-        return None
-    head, _, tail = text.partition(".")
-    resolved_head = import_map.get(head, head)
-    return f"{resolved_head}.{tail}" if tail else resolved_head
-
-
-def _terminal(name: str) -> str:
-    return name.rsplit(".", 1)[-1]
 
 
 class _FunctionAnalyzer:
@@ -395,20 +225,9 @@ class _FunctionAnalyzer:
         self.import_map = import_map
         self.module_globals = module_globals
         self.imported_module_aliases = imported_module_aliases
-        self.flow = FunctionFlow(qualname=qualname, line=func.lineno, params=_param_names(func))
+        self.flow = FunctionFlow(qualname=qualname, params=_param_names(func))
         self.declared_global: set[str] = set()
         self.locals: set[str] = set()
-        self.sim_locals: set[str] = set()
-        self.rng_locals: dict[str, dict[str, Any]] = {}
-        #: local name -> dotted class name it was constructed from
-        self.class_locals: dict[str, str] = {}
-        #: nested def/lambda name -> set of sim names it captures
-        self.sim_closures: dict[str, set[str]] = {}
-
-    # -- helpers ----------------------------------------------------------
-
-    def dotted(self, node: ast.expr) -> str | None:
-        return _dotted(node, self.import_map)
 
     def _is_random_module(self, node: ast.expr) -> bool:
         return (
@@ -417,101 +236,35 @@ class _FunctionAnalyzer:
             and self.import_map.get(node.id, None) == "random"
         )
 
-    def _tag_sim_sources(self) -> None:
-        args = self.func.args
-        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-            if arg.arg in SIM_PARAM_NAMES or _is_sim_annotation(arg.annotation):
-                self.sim_locals.add(arg.arg)
-            # Annotated params participate in owner/class tracking: writing
-            # an attribute on `call: IncomingCall` is a store into that class.
-            annotated = _annotation_class(arg.annotation, self.import_map)
-            if annotated is not None:
-                self.class_locals[arg.arg] = annotated
-
-    def _value_is_sim(self, value: ast.expr) -> bool:
-        if isinstance(value, ast.Name) and value.id in self.sim_locals:
-            return True
-        if isinstance(value, ast.Call):
-            name = self.dotted(value.func)
-            if name is not None and _terminal(name) in SIM_TYPE_NAMES:
-                return True
-        if isinstance(value, ast.Attribute) and value.attr in SIM_PARAM_NAMES:
-            return True
-        return False
-
-    # -- extraction passes -------------------------------------------------
-
     def run(self) -> FunctionFlow:
-        self._tag_sim_sources()
-        self.flow.is_generator = any(
-            isinstance(node, (ast.Yield, ast.YieldFrom)) for node in _iter_scope(self.func)
-        )
         statements = list(_iter_scope(self.func))
-        # Pass 1: name binding, global decls, value tagging.
+        # Pass 1: local bindings and global declarations.
         for node in statements:
             if isinstance(node, ast.Global):
                 self.declared_global.update(node.names)
-            elif isinstance(node, ast.Assign):
-                self._tag_assignment(node.targets, node.value)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                self._tag_assignment([node.target], node.value)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 self.locals.add(node.id)
         self.locals -= self.declared_global
-        # Nested closures: which capture a sim-tagged name?
-        for node in statements:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                captured = _free_names(node) & self.sim_locals
-                if captured:
-                    self.sim_closures[node.name] = captured
-        # Pass 2: events.
+        # Pass 2: calls and stores.
         for node in statements:
             if isinstance(node, ast.Call):
                 self._inspect_call(node)
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
-                    self._inspect_store(node, target, node.value)
+                    self._inspect_store(node, target)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                self._inspect_store(node, node.target, node.value)
+                self._inspect_store(node, node.target)
             elif isinstance(node, ast.AugAssign):
-                self._inspect_store(node, node.target, node.value, how="augmented assignment")
-            elif isinstance(node, (ast.Delete,)):
+                self._inspect_store(node, node.target, how="augmented assignment")
+            elif isinstance(node, ast.Delete):
                 for target in node.targets:
-                    self._inspect_store(node, target, None, how="del")
-        self.flow.rng_flows = [
-            flow for flow in self.rng_locals.values() if flow["sinks"]
-        ]
+                    self._inspect_store(node, target, how="del")
         return self.flow
-
-    def _tag_assignment(self, targets: list[ast.expr], value: ast.expr) -> None:
-        single = targets[0] if len(targets) == 1 else None
-        if isinstance(single, ast.Name):
-            name = single.id
-            if name not in self.declared_global:
-                self.locals.add(name)
-            if self._value_is_sim(value):
-                self.sim_locals.add(name)
-            if isinstance(value, ast.Call):
-                callee = self.dotted(value.func)
-                if callee == "random.Random" and (value.args or value.keywords):
-                    self.rng_locals[name] = {
-                        "name": name,
-                        "line": value.lineno,
-                        "col": value.col_offset,
-                        "sinks": [],
-                    }
-                elif callee is not None:
-                    self.class_locals[name] = callee
-        for target in targets:
-            for node in ast.walk(target):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                    if node.id not in self.declared_global:
-                        self.locals.add(node.id)
 
     # -- call / store inspection ------------------------------------------
 
     def _inspect_call(self, node: ast.Call) -> None:
-        callee = self.dotted(node.func)
+        callee = _dotted(node.func, self.import_map)
         # RNG consumer params: p.random()/p.choice() on a parameter name.
         if (
             isinstance(node.func, ast.Attribute)
@@ -522,36 +275,13 @@ class _FunctionAnalyzer:
             if node.func.value.id not in self.flow.rng_consuming_params:
                 self.flow.rng_consuming_params.append(node.func.value.id)
         # The bare `random` module passed as an argument.
-        for position, arg in enumerate(node.args):
-            if self._is_random_module(arg) and callee is not None:
-                self.flow.random_module_args.append(
-                    {
-                        "callee": callee,
-                        "line": node.lineno,
-                        "col": node.col_offset,
-                        "arg_position": position,
-                        "keyword": None,
-                    }
-                )
-        for keyword in node.keywords:
-            if keyword.arg is not None and self._is_random_module(keyword.value):
-                if callee is not None:
-                    self.flow.random_module_args.append(
-                        {
-                            "callee": callee,
-                            "line": node.lineno,
-                            "col": node.col_offset,
-                            "arg_position": None,
-                            "keyword": keyword.arg,
-                        }
-                    )
-        # Seeded-RNG escape into constructor calls.
         if callee is not None:
-            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                if isinstance(arg, ast.Name) and arg.id in self.rng_locals:
-                    self.rng_locals[arg.id]["sinks"].append(
-                        {"callee": callee, "line": node.lineno, "col": node.col_offset}
-                    )
+            for position, arg in enumerate(node.args):
+                if self._is_random_module(arg):
+                    self._record_random_arg(node, callee, position, None)
+            for keyword in node.keywords:
+                if keyword.arg is not None and self._is_random_module(keyword.value):
+                    self._record_random_arg(node, callee, None, keyword.arg)
         # next(counter) on a module global, and in-place mutation of module
         # globals / other modules' globals.
         if (
@@ -572,24 +302,19 @@ class _FunctionAnalyzer:
             ):
                 self._record_global_write(node, receiver.id, f".{node.func.attr}()")
             self._maybe_external_write(node, receiver, f".{node.func.attr}()")
-            # Closure escape via container mutation: _handlers.append(on_tick).
-            if isinstance(receiver, ast.Name) and receiver.id in self.module_globals:
-                for arg in node.args:
-                    self._maybe_closure_escape(node, arg, f"{receiver.id}.{node.func.attr}()")
-            # Composition via container growth: self.stacks.append(NodeStack(...)).
-            if (
-                isinstance(receiver, ast.Attribute)
-                and isinstance(receiver.value, ast.Name)
-                and receiver.value.id == "self"
-            ):
-                for arg in node.args:
-                    for sub in ast.walk(arg):
-                        if isinstance(sub, ast.Call):
-                            callee = self.dotted(sub.func)
-                            if callee is not None and callee[:1].isalpha():
-                                self.flow.self_compositions.append(callee)
-                        elif isinstance(sub, ast.Name) and sub.id in self.class_locals:
-                            self.flow.self_compositions.append(self.class_locals[sub.id])
+
+    def _record_random_arg(
+        self, node: ast.Call, callee: str, position: int | None, keyword: str | None
+    ) -> None:
+        self.flow.random_module_args.append(
+            {
+                "callee": callee,
+                "line": node.lineno,
+                "col": node.col_offset,
+                "arg_position": position,
+                "keyword": keyword,
+            }
+        )
 
     def _record_global_write(self, node: ast.AST, name: str, how: str) -> None:
         self.flow.global_writes.append(
@@ -621,29 +346,7 @@ class _FunctionAnalyzer:
             }
         )
 
-    def _maybe_closure_escape(self, node: ast.AST, value: ast.expr, via: str) -> None:
-        captured: set[str] = set()
-        closure = ""
-        if isinstance(value, ast.Name) and value.id in self.sim_closures:
-            captured = self.sim_closures[value.id]
-            closure = value.id
-        elif isinstance(value, ast.Lambda):
-            captured = _free_names(value) & self.sim_locals
-            closure = "<lambda>"
-        if captured:
-            self.flow.closure_escapes.append(
-                {
-                    "line": getattr(node, "lineno", 1),
-                    "col": getattr(node, "col_offset", 0),
-                    "closure": closure,
-                    "captures": sorted(captured),
-                    "via": via,
-                }
-            )
-
-    def _inspect_store(
-        self, stmt: ast.AST, target: ast.expr, value: ast.expr | None, how: str = "assignment"
-    ) -> None:
+    def _inspect_store(self, stmt: ast.AST, target: ast.expr, how: str = "assignment") -> None:
         # global NAME = ... rebinding, NAME[k] = ... on module globals.
         root = target
         while isinstance(root, ast.Subscript):
@@ -657,94 +360,8 @@ class _FunctionAnalyzer:
                 and root.id in self.module_globals
             ):
                 self._record_global_write(stmt, root.id, "item " + how)
-            # Closure escaping by (re)binding a module global.
-            if (
-                value is not None
-                and root.id in self.module_globals
-                and root.id not in self.locals
-            ):
-                self._maybe_closure_escape(stmt, value, f"{root.id} = ...")
-        if isinstance(root, ast.Attribute):
+        elif isinstance(root, ast.Attribute):
             self._maybe_external_write(stmt, root, how)
-            if value is not None:
-                self._inspect_attr_value(stmt, root, value)
-
-    def _inspect_attr_value(
-        self, stmt: ast.AST, target: ast.Attribute, value: ast.expr
-    ) -> None:
-        """Attribute stores: composition edges and unpicklable values."""
-        base = target.value
-        owner: str | None = None
-        if isinstance(base, ast.Name):
-            if base.id == "self":
-                owner = "self"
-            elif base.id in self.class_locals:
-                owner = self.class_locals[base.id]
-        if owner is None:
-            return
-        if owner == "self":
-            for node in ast.walk(value):
-                if isinstance(node, ast.Call):
-                    callee = self.dotted(node.func)
-                    if callee is not None and callee[:1].isalpha():
-                        self.flow.self_compositions.append(callee)
-                elif isinstance(node, ast.Name) and node.id in self.class_locals:
-                    self.flow.self_compositions.append(self.class_locals[node.id])
-        kind: str | None = None
-        if isinstance(value, ast.Lambda):
-            kind = "lambda"
-        elif isinstance(value, ast.GeneratorExp):
-            kind = "generator expression"
-        elif isinstance(value, ast.Call):
-            callee = self.dotted(value.func)
-            if callee in {"open", "io.open"}:
-                kind = "open file handle"
-        if kind is not None:
-            self.flow.unpicklable_attr_assigns.append(
-                {
-                    "owner": owner,
-                    "attr": target.attr,
-                    "line": getattr(stmt, "lineno", 1),
-                    "col": getattr(stmt, "col_offset", 0),
-                    "kind": kind,
-                }
-            )
-
-
-def _class_flow(
-    node: ast.ClassDef,
-    import_map: dict[str, str],
-    functions: list[FunctionFlow],
-) -> ClassFlow:
-    bases = []
-    for base in node.bases:
-        dotted = _dotted(base, import_map)
-        if dotted is not None:
-            bases.append(dotted)
-    methods = [
-        child.name
-        for child in node.body
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    schedulable = any(
-        isinstance(sub, ast.Call)
-        and isinstance(sub.func, ast.Attribute)
-        and sub.func.attr.startswith("schedule")
-        for sub in ast.walk(node)
-    )
-    prefix = f"{node.name}."
-    compositions: list[str] = []
-    for flow in functions:
-        if flow.qualname.startswith(prefix):
-            compositions.extend(flow.self_compositions)
-    return ClassFlow(
-        name=node.name,
-        line=node.lineno,
-        bases=bases,
-        methods=methods,
-        schedulable=schedulable,
-        compositions=compositions,
-    )
 
 
 def analyze_module(
@@ -770,7 +387,7 @@ def analyze_module(
                 # project graph checks whether the dotted target is a module.
                 imported_module_aliases[local] = f"{module}.{alias.name}" if module else alias.name
 
-    flow = ModuleFlow(global_names=sorted(module_globals))
+    flow = ModuleFlow()
 
     # Module-level mutable bindings.
     for node in tree.body:
@@ -820,9 +437,4 @@ def analyze_module(
                 visit_functions(node.body, prefix + node.name + ".")
 
     visit_functions(tree.body, "")
-
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            flow.classes.append(_class_flow(node, import_map, flow.functions))
-
     return flow

@@ -1,24 +1,24 @@
-"""Whole-program structure: module summaries, import graph, call resolution.
+"""Whole-program structure: module summaries, name resolution, write index.
 
 The per-file stage (:mod:`repro.lint.core`) produces one
 :class:`ModuleSummary` per analyzed file — its dotted module name, import
-map, suppression table, per-file findings and the dataflow facts from
+map, suppressions, per-file findings and the dataflow facts from
 :mod:`repro.lint.dataflow`. This module assembles those summaries into a
-:class:`ProjectGraph`: a name-resolution layer over the import graph plus
-a conservative call/composition graph, on which the SHARD rule family and
-the cross-module DET002 sweep run without touching an AST again. That
-split is what makes the incremental cache sound: summaries are pure data
-keyed by content hash, and the (cheap) whole-program pass re-runs every
-time over whatever mix of fresh and cached summaries the engine loaded.
+:class:`ProjectGraph`: function resolution through the import graph plus
+a cross-module index of writes to module globals, on which SHARD001 and
+the DET002 indirection sweep run without touching an AST again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.lint.dataflow import ClassFlow, FunctionFlow, ModuleFlow
+from repro.lint.dataflow import FunctionFlow, ModuleFlow
+
+if TYPE_CHECKING:
+    from repro.lint.core import Finding, Suppressions
 
 __all__ = [
     "ModuleSummary",
@@ -58,55 +58,11 @@ class ModuleSummary:
 
     path: str
     module: str
-    sha: str
+    suppressions: Suppressions
     import_map: dict[str, str] = field(default_factory=dict)
-    #: Physical line -> suppressed rule ids (``*`` = all), continuation
-    #: lines already folded onto their logical line by the engine.
-    suppress: dict[int, list[str]] = field(default_factory=dict)
-    #: Per-file rule findings, serialized (see Finding.to_dict).
-    file_findings: list[dict[str, Any]] = field(default_factory=list)
+    #: Per-file rule findings, sorted.
+    findings: list[Finding] = field(default_factory=list)
     flow: ModuleFlow = field(default_factory=ModuleFlow)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "sha": self.sha,
-            "import_map": self.import_map,
-            "suppress": {str(line): sorted(ids) for line, ids in self.suppress.items()},
-            "file_findings": self.file_findings,
-            "flow": self.flow.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            sha=data["sha"],
-            import_map=dict(data["import_map"]),
-            suppress={int(line): list(ids) for line, ids in data["suppress"].items()},
-            file_findings=list(data["file_findings"]),
-            flow=ModuleFlow.from_dict(data["flow"]),
-        )
-
-    def is_suppressed(self, line: int, rule_id: str) -> bool:
-        ids = self.suppress.get(line)
-        if not ids:
-            return False
-        return "*" in ids or rule_id.upper() in ids
-
-
-@dataclass(frozen=True)
-class ResolvedClass:
-    """A class definition located in the project."""
-
-    module: str
-    cls: ClassFlow
-
-    @property
-    def dotted(self) -> str:
-        return f"{self.module}.{self.cls.name}"
 
 
 @dataclass(frozen=True)
@@ -122,84 +78,25 @@ class ResolvedFunction:
 
 
 class ProjectGraph:
-    """Name resolution and reachability over a set of module summaries."""
+    """Name resolution and the global-write index over module summaries."""
 
     def __init__(self, summaries: Iterable[ModuleSummary]) -> None:
         self.modules: dict[str, ModuleSummary] = {}
         for summary in summaries:
             self.modules[summary.module] = summary
-        self._class_index: dict[str, dict[str, ClassFlow]] = {}
-        self._function_index: dict[str, dict[str, FunctionFlow]] = {}
-        for name, summary in self.modules.items():
-            self._class_index[name] = {cls.name: cls for cls in summary.flow.classes}
-            self._function_index[name] = {
-                fn.qualname: fn for fn in summary.flow.functions
-            }
-
-    # -- iteration ---------------------------------------------------------
+        self._function_index: dict[str, dict[str, FunctionFlow]] = {
+            name: {fn.qualname: fn for fn in summary.flow.functions}
+            for name, summary in self.modules.items()
+        }
 
     def __iter__(self) -> Iterator[ModuleSummary]:
         for name in sorted(self.modules):
             yield self.modules[name]
 
-    def __len__(self) -> int:
-        return len(self.modules)
-
-    # -- name resolution ---------------------------------------------------
-
-    def summary(self, module: str) -> ModuleSummary | None:
-        return self.modules.get(module)
-
-    def resolve_module(self, dotted: str) -> ModuleSummary | None:
-        """The summary for an exact dotted module name, if analyzed."""
-        return self.modules.get(dotted)
-
-    def resolve_class(self, dotted: str, from_module: str | None = None) -> ResolvedClass | None:
-        """Locate a class by dotted name, following one re-export level.
-
-        ``dotted`` may be a local spelling (``NodeStack``) when
-        ``from_module`` is given, a fully dotted definition site
-        (``repro.netsim.node.Node``), or an import alias re-exported from a
-        package ``__init__`` (``repro.netsim.Node``).
-        """
-        for _ in range(_MAX_RESOLVE_DEPTH):
-            if from_module is not None and "." not in dotted:
-                local = self._class_index.get(from_module, {}).get(dotted)
-                if local is not None:
-                    return ResolvedClass(from_module, local)
-                # A bare name imported into from_module: follow the alias.
-                origin = self.modules[from_module].import_map.get(dotted) if (
-                    from_module in self.modules
-                ) else None
-                if origin is None or origin == dotted:
-                    return None
-                dotted, from_module = origin, None
-                continue
-            head, _, tail = dotted.rpartition(".")
-            if head in self.modules and tail:
-                found = self._class_index[head].get(tail)
-                if found is not None:
-                    return ResolvedClass(head, found)
-                # Re-exported name: follow head's import map.
-                origin = self.modules[head].import_map.get(tail)
-                if origin is not None and origin != dotted:
-                    dotted, from_module = origin, None
-                    continue
-                return None
-            if head:
-                # The head itself might be an alias chain (pkg re-export).
-                parent = self.modules.get(head)
-                if parent is None:
-                    return None
-                dotted, from_module = dotted, None
-                return None
-            return None
-        return None
-
     def resolve_function(
         self, dotted: str, from_module: str | None = None
     ) -> ResolvedFunction | None:
-        """Locate a module-level function by dotted name (one re-export hop)."""
+        """Locate a module-level function by dotted name, following re-exports."""
         for _ in range(_MAX_RESOLVE_DEPTH):
             if from_module is not None and "." not in dotted:
                 local = self._function_index.get(from_module, {}).get(dotted)
@@ -225,13 +122,13 @@ class ProjectGraph:
             return None
         return None
 
-    # -- mutable-global lookups -------------------------------------------
-
     def global_writes_to(self, module: str, name: str) -> list[dict[str, Any]]:
         """Every runtime write to ``module.name``, local or cross-module.
 
         Returns write records augmented with a ``from`` key naming the
-        writing module.
+        writing module. Cross-module writes match on the dotted spelling
+        the writer imported (``from repro.sip import auth`` records
+        ``repro.sip.auth``); aliases of aliases are not chased.
         """
         writes: list[dict[str, Any]] = []
         target = self.modules.get(module)
@@ -241,66 +138,8 @@ class ProjectGraph:
                     if write["name"] == name:
                         writes.append({**write, "from": module})
         for other_name in sorted(self.modules):
-            other = self.modules[other_name]
-            for fn in other.flow.functions:
+            for fn in self.modules[other_name].flow.functions:
                 for write in fn.external_writes:
-                    if write["name"] != name:
-                        continue
-                    resolved = write["module"]
-                    if resolved == module or self._alias_points_to(resolved, module):
+                    if write["name"] == name and write["module"] == module:
                         writes.append({**write, "from": other_name})
         return writes
-
-    def _alias_points_to(self, dotted: str, module: str) -> bool:
-        """True if importing ``dotted`` yields the module named ``module``."""
-        if dotted == module:
-            return True
-        # `from repro.sip import auth` records candidate `repro.sip.auth`,
-        # which is already fully dotted; aliases of aliases are not chased.
-        return False
-
-    # -- class reachability (SHARD004) ------------------------------------
-
-    def subclasses_of(self, roots: set[str]) -> set[str]:
-        """Dotted names of classes whose (resolved) bases are in ``roots``."""
-        out: set[str] = set()
-        for module_name in sorted(self.modules):
-            for cls in self.modules[module_name].flow.classes:
-                for base in cls.bases:
-                    resolved = self.resolve_class(base, from_module=module_name)
-                    if resolved is not None and resolved.dotted in roots:
-                        out.add(f"{module_name}.{cls.name}")
-        return out
-
-    def reachable_classes(self, root_class_names: set[str]) -> set[str]:
-        """Transitive composition closure from classes with the given names.
-
-        Starts from every class whose bare name is in ``root_class_names``,
-        then follows (a) ``self.x = C(...)`` composition edges and (b)
-        subclass edges, to a fixpoint. Returns dotted class names.
-        """
-        reachable: set[str] = set()
-        frontier: list[str] = []
-        for module_name in sorted(self.modules):
-            for cls in self.modules[module_name].flow.classes:
-                if cls.name in root_class_names:
-                    dotted = f"{module_name}.{cls.name}"
-                    reachable.add(dotted)
-                    frontier.append(dotted)
-        while frontier:
-            current = frontier.pop()
-            module_name, _, class_name = current.rpartition(".")
-            cls = self._class_index.get(module_name, {}).get(class_name)
-            if cls is None:
-                continue
-            neighbors: set[str] = set()
-            for target in cls.compositions:
-                resolved = self.resolve_class(target, from_module=module_name)
-                if resolved is not None:
-                    neighbors.add(resolved.dotted)
-            neighbors |= self.subclasses_of({current})
-            for neighbor in sorted(neighbors):
-                if neighbor not in reachable:
-                    reachable.add(neighbor)
-                    frontier.append(neighbor)
-        return reachable

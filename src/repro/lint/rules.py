@@ -1,11 +1,11 @@
 """The project rule set.
 
 Per-file rules: DET001–DET003, CACHE001–CACHE002, SIM001, FAULT001,
-OBS001, OVR001, PERF001. Whole-program rules: the SHARD family (shard-safety for
-region-sharded logical processes) and the cross-call DET002 sweep. Every
-rule guards an invariant the simulator's determinism, PR 1's caching
-layer or the sharding roadmap item depends on; DESIGN.md §5c/§5h document
-the rationale for each.
+OBS001, OVR001, PERF001. Whole-program rules: SHARD001 (unregistered
+module-global state) and the cross-call DET002 sweep. Every rule guards
+an invariant that seeded-run determinism, the serialize caches or
+in-process reruns depend on; DESIGN.md §5c/§5h document the rationale
+for each.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.lint.core import FileContext, ProgramRule, ProgramReporter, Rule, RuleVisitor
-from repro.lint.graph import ModuleSummary, ProjectGraph
+from repro.lint.graph import ProjectGraph
 
 # ---------------------------------------------------------------------------
 # DET001 — wall-clock access
@@ -729,14 +729,15 @@ class HeapqUseRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# SHARD family — whole-program shard-safety for region-split logical
-# processes. These run over the ProjectGraph, not per file.
+# SHARD001 — whole-program: unregistered module-global state. Runs over the
+# ProjectGraph, not per file.
 # ---------------------------------------------------------------------------
 
-#: Modules the SHARD family certifies. Everything the sharded kernel will
-#: fork into worker processes lives here — including repro.handover, whose
-#: drills replay inside workers; lint/, trace/, experiments/, faults/,
-#: overload/ and the other harnesses stay host-side.
+#: Modules whose process-global state must be resettable between
+#: in-process runs: everything a scenario run executes, including the
+#: repro.handover drills. lint/, trace/, experiments/, faults/, overload/
+#: and the other harnesses drive runs but hold no state a run leaves
+#: behind, so they stay out of scope.
 _SHARD_SCOPE_PREFIXES = (
     "repro.netsim.",
     "repro.core.",
@@ -767,25 +768,23 @@ def _shard_in_scope(module: str) -> bool:
     return True
 
 
-def _scoped(graph: ProjectGraph):
-    for summary in graph:
-        if _shard_in_scope(summary.module):
-            yield summary
-
-
 class ShardGlobalStateRule(ProgramRule):
     id = "SHARD001"
-    title = "no unregistered module-level mutable state in shardable modules"
+    title = "no unregistered module-level mutable state in per-run modules"
     rationale = (
-        "Region-sharded logical processes fork the kernel into workers; any "
-        "module-global counter/dict/list written at runtime silently forks "
-        "with them and diverges per process. Registering the binding with "
-        "repro.globalstate.registry gives sharding one choke point to "
-        "enumerate, reset and partition per-process state."
+        "Module-global counters/dicts/lists written at runtime outlive a "
+        "scenario: a second run in the same process starts from the first "
+        "run's leftovers, so in-process reruns (the metrics smoke's on/off "
+        "comparison, the kernel-parity tests, the perfbench digests) stop "
+        "being byte-identical. Registering the binding with "
+        "repro.globalstate.registry puts it under registry.reset_all(), the "
+        "one reset those reruns call."
     )
 
     def check_program(self, graph: ProjectGraph, report: ProgramReporter) -> None:
-        for summary in _scoped(graph):
+        for summary in graph:
+            if not _shard_in_scope(summary.module):
+                continue
             for binding in summary.flow.mutable_globals:
                 if binding["registered"]:
                     continue
@@ -800,119 +799,9 @@ class ShardGlobalStateRule(ProgramRule):
                     f"module-level mutable {binding['kind']} "
                     f"{binding['name']!r} is written at runtime "
                     f"(by {', '.join(writers)}): register it with "
-                    "repro.globalstate.registry so region shards can "
-                    "enumerate and reset per-process state",
+                    "repro.globalstate.registry so registry.reset_all() "
+                    "restores it between in-process runs",
                 )
-
-
-class ShardClosureEscapeRule(ProgramRule):
-    id = "SHARD002"
-    title = "no simulator-capturing closures escaping to module-global state"
-    rationale = (
-        "A closure over a Simulator/WirelessMedium/kernel reference pins one "
-        "region's event loop; parking it in module-global state hands every "
-        "future shard a pointer into another shard's kernel, and closures "
-        "do not pickle across the multiprocessing hand-off. Handlers that "
-        "stay on the owning simulator (sim.schedule(...)) are fine."
-    )
-
-    def check_program(self, graph: ProjectGraph, report: ProgramReporter) -> None:
-        for summary in _scoped(graph):
-            for fn in summary.flow.functions:
-                for escape in fn.closure_escapes:
-                    captures = ", ".join(escape["captures"])
-                    report(
-                        summary,
-                        escape["line"],
-                        escape["col"],
-                        f"closure {escape['closure']!r} capturing simulator "
-                        f"reference(s) {captures} escapes to module-global "
-                        f"state via {escape['via']}: it would cross a region "
-                        "boundary and cannot pickle into a shard worker",
-                    )
-
-
-class ShardRngShareRule(ProgramRule):
-    id = "SHARD003"
-    title = "no seeded RNG shared by independently-schedulable components"
-    rationale = (
-        "Two components that each arm their own events but draw from one "
-        "seeded random.Random interleave their draws through the event "
-        "order; split them across regions and the interleaving — hence the "
-        "whole run — changes. Each schedulable component must own an RNG "
-        "derived from its own (sub)seed. Generalizes DET002 across module "
-        "boundaries via the call graph."
-    )
-
-    def check_program(self, graph: ProjectGraph, report: ProgramReporter) -> None:
-        for summary in _scoped(graph):
-            for fn in summary.flow.functions:
-                for flow in fn.rng_flows:
-                    components: dict[str, dict] = {}
-                    for sink in flow["sinks"]:
-                        resolved = graph.resolve_class(
-                            sink["callee"], from_module=summary.module
-                        )
-                        if resolved is not None and resolved.cls.schedulable:
-                            components.setdefault(resolved.dotted, sink)
-                    if len(components) >= 2:
-                        names = ", ".join(sorted(components))
-                        report(
-                            summary,
-                            flow["line"],
-                            flow["col"],
-                            f"seeded RNG {flow['name']!r} flows into "
-                            f"{len(components)} independently-schedulable "
-                            f"components ({names}): each must own an RNG from "
-                            "its own subseed or region sharding reorders "
-                            "their interleaved draws",
-                        )
-
-
-class ShardUnpicklableRule(ProgramRule):
-    id = "SHARD004"
-    title = "no unpicklable state reachable from Node/scenario objects"
-    rationale = (
-        "Region sharding hands Node and scenario state to worker processes "
-        "via pickle; an open file, lambda or generator stored anywhere in "
-        "the composition closure of Node/ManetScenario turns the hand-off "
-        "into a runtime TypeError. The reachability set comes from the "
-        "whole-program class-composition graph."
-    )
-
-    #: Composition-closure roots: what multiprocessing will serialize.
-    ROOT_CLASS_NAMES = frozenset({"Node", "ManetScenario"})
-
-    def check_program(self, graph: ProjectGraph, report: ProgramReporter) -> None:
-        reachable = graph.reachable_classes(set(self.ROOT_CLASS_NAMES))
-        for summary in _scoped(graph):
-            for fn in summary.flow.functions:
-                for record in fn.unpicklable_attr_assigns:
-                    dotted = self._owner_class(graph, summary, fn.qualname, record)
-                    if dotted is None or dotted not in reachable:
-                        continue
-                    report(
-                        summary,
-                        record["line"],
-                        record["col"],
-                        f"{record['kind']} stored on {dotted}.{record['attr']}: "
-                        "reachable from Node/scenario state, so the "
-                        "multiprocessing hand-off to a region shard cannot "
-                        "pickle it; store picklable state (bound methods via "
-                        "functools.partial, named functions, plain data)",
-                    )
-
-    @staticmethod
-    def _owner_class(
-        graph: ProjectGraph, summary: ModuleSummary, qualname: str, record: dict
-    ) -> str | None:
-        owner = record["owner"]
-        if owner == "self":
-            if "." not in qualname:
-                return None
-            return f"{summary.module}.{qualname.split('.')[0]}"
-        resolved = graph.resolve_class(owner, from_module=summary.module)
-        return resolved.dotted if resolved is not None else None
 
 
 class GlobalRandomIndirectionRule(ProgramRule):
@@ -974,9 +863,6 @@ ALL_RULES: tuple[Rule, ...] = (
     UnboundedQueueRule(),
     HeapqUseRule(),
     ShardGlobalStateRule(),
-    ShardClosureEscapeRule(),
-    ShardRngShareRule(),
-    ShardUnpicklableRule(),
 )
 
 _RULES_BY_ID: dict[str, list[Rule]] = {}

@@ -1,6 +1,6 @@
 """Unit tests for the whole-program layer: import-graph resolution,
-cross-module write attribution, composition reachability, and the
-dataflow facts the SHARD rules consume."""
+cross-module write attribution, and the dataflow facts SHARD001 and the
+DET002 indirection sweep consume."""
 
 import ast
 
@@ -35,18 +35,17 @@ class TestModuleNames:
 
 
 class TestResolution:
-    def test_class_resolves_through_reexport(self):
+    def test_function_resolves_through_reexport(self):
         graph = summarize(
             {
-                "impl": "class Thing:\n    def start(self):\n        self.sim.schedule(0, self.start)\n",
-                "api": "from impl import Thing\n",
-                "user": "from api import Thing\ndef build(sim):\n    return Thing()\n",
+                "impl": "def jitter(rng):\n    return rng.random()\n",
+                "api": "from impl import jitter\n",
+                "user": "from api import jitter\ndef draw(rng):\n    return jitter(rng)\n",
             }
         )
-        resolved = graph.resolve_class("Thing", from_module="user")
+        resolved = graph.resolve_function("jitter", from_module="user")
         assert resolved is not None
-        assert resolved.module == "impl"
-        assert resolved.cls.schedulable
+        assert resolved.dotted == "impl.jitter"
 
     def test_function_resolves_in_same_module(self):
         graph = summarize({"m": "def helper(rng):\n    return rng.random()\n"})
@@ -56,7 +55,6 @@ class TestResolution:
 
     def test_unknown_name_resolves_to_none(self):
         graph = summarize({"m": "x = 1\n"})
-        assert graph.resolve_class("Ghost", from_module="m") is None
         assert graph.resolve_function("ghost", from_module="m") is None
 
 
@@ -87,52 +85,6 @@ class TestCrossModuleWrites:
         assert graph.global_writes_to("m", "_table") == []
 
 
-class TestReachability:
-    def test_composition_closure_includes_nested_and_subclasses(self):
-        graph = summarize(
-            {
-                "parts": "class Antenna:\n    pass\n",
-                "radio": (
-                    "from parts import Antenna\n"
-                    "class Radio:\n"
-                    "    def __init__(self):\n"
-                    "        self.antenna = Antenna()\n"
-                ),
-                "node": (
-                    "from radio import Radio\n"
-                    "class Node:\n"
-                    "    def __init__(self):\n"
-                    "        self.radio = Radio()\n"
-                    "class RelayNode(Node):\n"
-                    "    pass\n"
-                ),
-                "island": "class Island:\n    pass\n",
-            }
-        )
-        reachable = graph.reachable_classes({"Node"})
-        assert "node.Node" in reachable
-        assert "node.RelayNode" in reachable, "subclasses ship with the root"
-        assert "radio.Radio" in reachable
-        assert "parts.Antenna" in reachable, "composition is transitive"
-        assert "island.Island" not in reachable
-
-    def test_container_growth_is_a_composition_edge(self):
-        graph = summarize(
-            {
-                "m": (
-                    "class Stack:\n"
-                    "    pass\n"
-                    "class Node:\n"
-                    "    def __init__(self):\n"
-                    "        self.stacks = []\n"
-                    "    def add(self):\n"
-                    "        self.stacks.append(Stack())\n"
-                )
-            }
-        )
-        assert "m.Stack" in graph.reachable_classes({"Node"})
-
-
 class TestDataflow:
     def analyze(self, source: str):
         tree = ast.parse(source)
@@ -145,43 +97,6 @@ class TestDataflow:
                 for alias in node.names:
                     import_map[alias.asname or alias.name] = f"{node.module}.{alias.name}"
         return analyze_module(tree, import_map)
-
-    def test_seeded_rng_flow_records_sinks(self):
-        flow = self.analyze(
-            "import random\n"
-            "def build(sim, seed):\n"
-            "    rng = random.Random(seed)\n"
-            "    a = Alpha(sim, rng)\n"
-            "    b = Beta(rng=rng)\n"
-        )
-        (fn,) = [f for f in flow.functions if f.qualname == "build"]
-        (rng_flow,) = fn.rng_flows
-        assert rng_flow["name"] == "rng"
-        assert {sink["callee"] for sink in rng_flow["sinks"]} == {"Alpha", "Beta"}
-
-    def test_annotated_param_attribute_store_is_owned(self):
-        flow = self.analyze(
-            "def attach(call: IncomingCall):\n"
-            "    call.on_state = lambda c: None\n"
-        )
-        (fn,) = [f for f in flow.functions if f.qualname == "attach"]
-        (record,) = fn.unpicklable_attr_assigns
-        assert record["owner"] == "IncomingCall"
-        assert record["attr"] == "on_state"
-        assert record["kind"] == "lambda"
-
-    def test_schedulable_detection(self):
-        flow = self.analyze(
-            "class A:\n"
-            "    def start(self, sim):\n"
-            "        sim.schedule(1.0, self.start)\n"
-            "class B:\n"
-            "    def idle(self):\n"
-            "        pass\n"
-        )
-        by_name = {cls.name: cls for cls in flow.classes}
-        assert by_name["A"].schedulable
-        assert not by_name["B"].schedulable
 
     def test_global_declaration_write_detected(self):
         flow = self.analyze(

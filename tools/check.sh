@@ -10,16 +10,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== repro.lint (whole-program: determinism, cache coherence, shard safety) =="
+echo "== repro.lint (whole-program: determinism, cache coherence, registered global state) =="
 python -m repro.lint src/
-echo "== repro.lint incremental (--changed over the warm cache) =="
-python -m repro.lint --changed src/
-
-echo "== repro.lint SARIF (emit + validate against vendored schema) =="
-sarif_tmp=$(mktemp)
-python -m repro.lint --format sarif src/ > "$sarif_tmp" || true
-python tools/validate_sarif.py "$sarif_tmp"
-rm -f "$sarif_tmp"
 
 echo "== repro.trace smoke (traced scenario, JSONL schema) =="
 python -m repro.trace smoke
