@@ -4,44 +4,16 @@ Subcommands:
 
 * ``plan``  — print the canonical fault plan (JSONL, one event per line)
 * ``run``   — run the chaos workload, print the recovery report
-* ``smoke`` — run it twice with one seed and assert recovery plus
-  byte-identical fault schedules and trace exports (the ``tools/check.sh``
-  gate for the fault subsystem)
+
+The chaos recovery gate is ``python -m repro.gates faults``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import subprocess
 import sys
 
 from repro.faults.harness import default_chaos_plan, run_chaos
-from repro.trace.events import TraceError, parse_jsonl_line
-
-#: Rerun script for the byte-identity check. Protocol identifiers (Call-ID,
-#: Via branch, packet uid) come from process-global counters, so — like
-#: ``tests/trace/test_determinism.py`` — the byte-identity contract is
-#: between fresh interpreters, not reruns inside one process.
-_RERUN_SCRIPT = """
-from repro.faults.harness import run_chaos
-result = run_chaos(hops=4, routing="aodv", seed=7)
-import sys
-sys.stdout.write(result.plan.describe())
-sys.stdout.write("\\n=====\\n")
-sys.stdout.write(result.scenario.trace.export_jsonl())
-"""
-
-
-def _rerun_in_fresh_process() -> str:
-    result = subprocess.run(
-        [sys.executable, "-c", _RERUN_SCRIPT],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=dict(os.environ),
-    )
-    return result.stdout
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -67,75 +39,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.recovered else 1
 
 
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    """Chaos gate: recovery works and two same-seed runs match byte-for-byte."""
-    failures: list[str] = []
-
-    first = run_chaos(hops=4, routing="aodv", seed=7)
-    if not first.recovered:
-        failures.append("post-fault call did not re-establish")
-    report = first.report
-    if report.faults_injected != len(first.plan.events):
-        failures.append(
-            f"{len(first.plan.events)} fault events planned but "
-            f"{report.faults_injected} showed up in the trace"
-        )
-    if not report.gateway_failover_latency:
-        failures.append("no gateway failover observed after gateway_down")
-    if not report.reregistration_latency:
-        failures.append("no re-registration observed after node_restart")
-
-    trace_text = ""
-    if first.scenario.trace is None:
-        failures.append("chaos scenario ran without a trace collector")
-    else:
-        trace_text = first.scenario.trace.export_jsonl()
-        for number, line in enumerate(trace_text.splitlines(), start=1):
-            try:
-                parse_jsonl_line(line)
-            except TraceError as exc:
-                failures.append(f"trace line {number} failed schema validation: {exc}")
-                break
-
-    # Determinism, layer 1 (in-process): an identically-seeded rerun must
-    # produce the identical fault schedule and apply the identical events.
-    second = run_chaos(hops=4, routing="aodv", seed=7)
-    if second.plan.describe() != first.plan.describe():
-        failures.append("same-seed rerun produced a different fault schedule")
-    if second.scenario.faults is not None and first.scenario.faults is not None:
-        if second.scenario.faults.applied != first.scenario.faults.applied:
-            failures.append("same-seed rerun applied different fault events")
-
-    # Determinism, layer 2 (fresh interpreters): schedule *and* full trace
-    # export must reproduce byte for byte across program runs.
-    try:
-        rerun_a = _rerun_in_fresh_process()
-        rerun_b = _rerun_in_fresh_process()
-    except subprocess.CalledProcessError as exc:
-        failures.append(f"fresh-process chaos rerun crashed: {exc.stderr[-300:]}")
-    else:
-        if not rerun_a.strip():
-            failures.append("fresh-process chaos rerun produced no output")
-        if rerun_a != rerun_b:
-            failures.append(
-                "same-seed fresh-process reruns differ (schedule or trace)"
-            )
-        if first.plan.describe() not in rerun_a:
-            failures.append("fresh-process rerun used a different fault schedule")
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"chaos smoke ok: {report.faults_injected} faults injected, call "
-        f"re-established, gateway failover in "
-        f"{min(report.gateway_failover_latency.values()):.1f}s; "
-        "same-seed reruns byte-identical"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults",
@@ -154,11 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=1)
     p_run.add_argument("--out", help="also write the trace JSONL to this path")
     p_run.set_defaults(fn=_cmd_run)
-
-    p_smk = sub.add_parser(
-        "smoke", help="chaos gate: recovery + same-seed byte-identical reruns"
-    )
-    p_smk.set_defaults(fn=_cmd_smoke)
 
     return parser
 

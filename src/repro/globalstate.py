@@ -3,13 +3,12 @@
 The simulator's determinism story tolerates a small set of process-global
 identifier counters (call-ids, tags, Via branches, nonces, RTP ports,
 SSRCs, packet uids): they need process-lifetime uniqueness, not
-seed-determinism, so they live outside any :class:`Simulator`. But the
-region-sharding roadmap item turns every stray module global into a
-correctness hazard — a shard forked into another process must be able to
-enumerate, reset and (eventually) partition this state. This module is
-the single choke point: every process-global mutable binding in the
-production tree registers here, and ``repro.lint``'s SHARD001 rule
-rejects any that does not.
+seed-determinism, so they live outside any :class:`Simulator`. But an
+unregistered module global would leak one run's state into the next run
+in the same interpreter, so every such binding must be enumerable and
+resettable. This module is the single choke point: every process-global
+mutable binding in the production tree registers here, and
+``repro.lint``'s SHARD001 rule rejects any that does not.
 
 Usage::
 

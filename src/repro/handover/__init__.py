@@ -1,4 +1,4 @@
-"""§5k mid-call multihomed handover: drills, reports, CI smoke.
+"""§5k mid-call multihomed handover: drills and reports.
 
 The policy itself lives in :class:`repro.core.connection.HandoverPolicy`;
 this package holds the harness around it. Like :mod:`repro.overload`, the

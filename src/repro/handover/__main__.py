@@ -4,48 +4,17 @@ Subcommands:
 
 * ``drill`` — run the coverage-loss drill (handover + baseline), print
   the report and the SIP ladder of the surviving call
-* ``smoke`` — the ``tools/check.sh`` handover gate: survival invariants,
-  byte-identical same-seed reruns in fresh interpreters, and the
-  defaults-off guard (a legacy scenario emits zero ``handover.*`` /
-  ``iface.*`` events and fingerprints identically across processes)
+
+The survival and defaults-off gate is ``python -m repro.gates handover``.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
 
-from repro.handover.harness import DrillConfig, run_drill, run_report
-
-#: Rerun script for the byte-identity check. Protocol identifiers
-#: (Call-ID, Via branch, RTP SSRC, packet uid) come from process-global
-#: counters, so — like the trace/faults/overload smokes — the
-#: byte-identity contract is between fresh interpreters, not reruns
-#: inside one process.
-_RERUN_SCRIPT = """
-import sys
-from repro.handover.harness import run_report
-sys.stdout.write(run_report().render())
-"""
-
-_DEFAULTS_OFF_SCRIPT = """
-import sys
-from repro.handover.harness import legacy_fingerprint
-sys.stdout.write(legacy_fingerprint())
-"""
-
-
-def _fresh_process(script: str) -> str:
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=dict(os.environ),
-    )
-    return result.stdout
+from repro.handover.harness import DrillConfig, run_drill
 
 
 def _cmd_drill(args: argparse.Namespace) -> int:
@@ -55,81 +24,6 @@ def _cmd_drill(args: argparse.Namespace) -> int:
         print()
         print(result.ladder, end="")
     return 0 if (result.survived or args.baseline) else 1
-
-
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    """Handover gate: mid-call survival works and reruns are byte-identical."""
-    failures: list[str] = []
-
-    enabled = run_drill(DrillConfig(handover=True))
-    baseline = run_drill(DrillConfig(handover=False))
-    if not enabled.established:
-        failures.append("drill call never established")
-    if not enabled.survived:
-        failures.append("handover-enabled call did not survive coverage loss")
-    if enabled.succeeded == 0:
-        failures.append("handover.succeeded counter never moved")
-    if not enabled.ssrc_stable:
-        failures.append("RTP session was re-created across the migration")
-    silence_ms = DrillConfig().handover_config.rtp_silence_timeout * 1000
-    if enabled.media_gap_ms is None or enabled.media_gap_ms >= silence_ms:
-        failures.append(
-            f"media gap {enabled.media_gap_ms} ms not under the "
-            f"{silence_ms:.0f} ms RTP silence trigger"
-        )
-    if baseline.survived:
-        failures.append("baseline call survived coverage loss without handover")
-    if baseline.attempted:
-        failures.append("baseline run attempted a handover with the policy off")
-
-    # Byte-identity across fresh interpreters: the whole rendered report —
-    # drill outcomes, latency/gap numbers, the handover trace slice — must
-    # reproduce exactly.
-    try:
-        rerun_a = _fresh_process(_RERUN_SCRIPT)
-        rerun_b = _fresh_process(_RERUN_SCRIPT)
-    except subprocess.CalledProcessError as exc:
-        failures.append(f"fresh-process drill rerun crashed: {exc.stderr[-300:]}")
-    else:
-        if not rerun_a.strip():
-            failures.append("fresh-process drill rerun produced no output")
-        if rerun_a != rerun_b:
-            failures.append("same-seed fresh-process drill reports differ")
-
-    # Defaults-off guard: with no handover config, no multihomed nodes and
-    # no interface faults, the §5k machinery must contribute zero events
-    # and the legacy trace must fingerprint identically across processes.
-    try:
-        legacy_a = _fresh_process(_DEFAULTS_OFF_SCRIPT)
-        legacy_b = _fresh_process(_DEFAULTS_OFF_SCRIPT)
-    except subprocess.CalledProcessError as exc:
-        failures.append(f"defaults-off fingerprint crashed: {exc.stderr[-300:]}")
-    else:
-        if not legacy_a.strip():
-            failures.append("defaults-off fingerprint produced no output")
-        if legacy_a != legacy_b:
-            failures.append("defaults-off fingerprints differ across processes")
-        leaked = [
-            line
-            for line in legacy_a.splitlines()
-            if '"kind":"handover.' in line or '"kind":"iface.' in line
-        ]
-        if leaked:
-            failures.append(
-                f"defaults-off run leaked {len(leaked)} handover/iface events"
-            )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"handover smoke ok: coverage-loss call survived in "
-        f"{enabled.attempted} attempt(s), latency {enabled.handover_latency_ms} ms, "
-        f"media gap {enabled.media_gap_ms} ms (baseline died); "
-        "same-seed reruns byte-identical; defaults-off clean"
-    )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,11 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ladder", action="store_true", help="print the call's SIP ladder"
     )
     p_drill.set_defaults(fn=_cmd_drill)
-
-    p_smk = sub.add_parser(
-        "smoke", help="handover gate: survival + byte-identical reruns"
-    )
-    p_smk.set_defaults(fn=_cmd_smoke)
 
     return parser
 

@@ -8,9 +8,8 @@ With handover enabled the call must survive on the wired path — same RTP
 session object, same SSRC — with a bounded inbound-media gap; with it
 disabled (the baseline) media dies at the moment of coverage loss.
 
-The rendered :class:`DrillReport` is the byte-identity surface of the
-``tools/check.sh`` handover gate: same-seed reruns in fresh interpreters
-must reproduce it exactly.
+The rendered drill pair and :func:`legacy_fingerprint` are the
+byte-identity surface of the ``python -m repro.gates handover`` gate.
 """
 
 from __future__ import annotations
@@ -173,29 +172,6 @@ def run_drill(cfg: DrillConfig | None = None) -> DrillResult:
         media_gap_ms=gap_ms,
         trace_jsonl=trace_jsonl,
         ladder=ladder,
-    )
-
-
-@dataclass
-class DrillReport:
-    """Handover vs. baseline drill pair — the smoke's comparison surface."""
-
-    handover: DrillResult
-    baseline: DrillResult
-
-    def render(self) -> str:
-        out = ["== handover drill ==", self.handover.render()]
-        out.append("== baseline drill ==")
-        out.append(self.baseline.render())
-        out.append("== handover trace slice ==")
-        out.append(self.handover.trace_jsonl)
-        return "\n".join(out)
-
-
-def run_report(seed: int = 7) -> DrillReport:
-    return DrillReport(
-        handover=run_drill(DrillConfig(seed=seed, handover=True)),
-        baseline=run_drill(DrillConfig(seed=seed, handover=False)),
     )
 
 

@@ -774,7 +774,7 @@ class ShardGlobalStateRule(ProgramRule):
     rationale = (
         "Module-global counters/dicts/lists written at runtime outlive a "
         "scenario: a second run in the same process starts from the first "
-        "run's leftovers, so in-process reruns (the metrics smoke's on/off "
+        "run's leftovers, so in-process reruns (the gate probes' on/off "
         "comparison, the kernel-parity tests, the perfbench digests) stop "
         "being byte-identical. Registering the binding with "
         "repro.globalstate.registry puts it under registry.reset_all(), the "

@@ -8,41 +8,20 @@ Subcommands:
 * ``profile`` — run the C1 quick variant under the kernel profiler,
   print per-subsystem wall-time attribution, optionally write
   collapsed stacks for speedscope / flamegraph.pl
-* ``smoke``   — determinism gate: same-seed fresh-process exports must
-  be byte-identical, and enabling metrics must change neither the event
-  schedule nor any Stats counter (the ``tools/check.sh`` gate)
+
+The export/no-observer-effect gate is ``python -m repro.gates metrics``.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
 
 from repro.errors import MetricsError
 from repro.metrics.registry import render_prometheus
 from repro.metrics.scraper import load_jsonl
 from repro.metrics.render import render_dash, render_table, summarize_sections
-
-#: The smoke workload: a 3-hop chain with bounded TX queues and one call,
-#: scraped every half sim-second. Small enough to run three times in the
-#: gate, busy enough that gauges actually move.
-_SMOKE_SCRIPT = """
-import sys
-from repro.scenarios import ManetConfig, ManetScenario
-
-scenario = ManetScenario(ManetConfig(
-    n_nodes=4, seed=7, metrics=True, metrics_interval=0.5, tx_queue_capacity=8,
-))
-scenario.start()
-scenario.add_phone(0, "alice")
-scenario.add_phone(3, "bob")
-scenario.converge()
-scenario.call_and_wait("alice", "sip:bob@voicehoc.ch", duration=3.0)
-scenario.stop()
-sys.stdout.write(scenario.metrics.export_text())
-"""
 
 
 def _load(path: str):
@@ -110,112 +89,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_smoke_in_fresh_process() -> str:
-    # Protocol identifiers (Call-ID, Via branch, packet uid) come from
-    # process-global counters, so — like the trace/faults/overload smokes —
-    # the byte-identity contract is between fresh interpreters.
-    result = subprocess.run(
-        [sys.executable, "-c", _SMOKE_SCRIPT],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=dict(os.environ),
-    )
-    return result.stdout
-
-
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    """Determinism gate: byte-identical exports, no observer effect."""
-    from repro.globalstate import registry as global_registry
-    from repro.scenarios import ManetConfig, ManetScenario
-
-    failures: list[str] = []
-
-    # 1. Same-seed exports from two fresh interpreters are byte-identical.
-    try:
-        export_a = _run_smoke_in_fresh_process()
-        export_b = _run_smoke_in_fresh_process()
-    except subprocess.CalledProcessError as exc:
-        failures.append(f"fresh-process metrics run crashed: {exc.stderr[-300:]}")
-        export_a = export_b = ""
-    else:
-        if not export_a.strip():
-            failures.append("fresh-process metrics run produced no export")
-        if export_a != export_b:
-            failures.append("same-seed fresh-process metrics exports differ")
-
-    # 2. The export parses and the snapshots carry the standard gauges.
-    snapshots = 0
-    if export_a:
-        import io
-
-        try:
-            sections = load_jsonl(io.StringIO(export_a))
-        except MetricsError as exc:
-            failures.append(f"smoke export failed schema validation: {exc}")
-        else:
-            snapshots = sum(len(section.snapshots) for section in sections)
-            if snapshots == 0:
-                failures.append("smoke export contains no snapshots")
-            else:
-                last = sections[0].snapshots[-1]
-                for expected in ("txqueue.depth.sum", "routing.routes.sum"):
-                    if expected not in last.gauges:
-                        failures.append(f"gauge {expected} missing from export")
-                if render_prometheus(
-                    {"counters": last.counters, "gauges": last.gauges,
-                     "histograms": last.histograms}
-                ).strip() == "":
-                    failures.append("Prometheus exposition rendered empty")
-
-    # 3. No observer effect: metrics on vs off — identical Stats summary,
-    #    identical event schedule (processed count and sequence counter).
-    #    In-process reruns need the global ID counters reset to realign.
-    def run_once(metrics_on: bool):
-        global_registry.reset_all()
-        scenario = ManetScenario(ManetConfig(
-            n_nodes=4, seed=7, metrics=metrics_on, metrics_interval=0.5,
-            tx_queue_capacity=8,
-        ))
-        scenario.start()
-        scenario.add_phone(0, "alice")
-        scenario.add_phone(3, "bob")
-        scenario.converge()
-        scenario.call_and_wait("alice", "sip:bob@voicehoc.ch", duration=3.0)
-        scenario.stop()
-        return (
-            scenario.stats.summary(),
-            scenario.sim.events_processed,
-            scenario.sim._kernel.seq,
-        )
-
-    stats_on, events_on, seq_on = run_once(True)
-    stats_off, events_off, seq_off = run_once(False)
-    if stats_on != stats_off:
-        failures.append("enabling metrics changed the Stats summary")
-    if events_on != events_off:
-        failures.append(
-            f"enabling metrics changed the event schedule "
-            f"({events_on} vs {events_off} events processed)"
-        )
-    if seq_on != seq_off:
-        failures.append(
-            f"enabling metrics changed event sequence allocation "
-            f"({seq_on} vs {seq_off})"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"metrics smoke ok: {snapshots} snapshots byte-identical across fresh "
-        f"processes; metrics on/off Stats and schedule identical "
-        f"({events_on} events)"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.metrics",
@@ -258,11 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write collapsed stacks (speedscope / flamegraph.pl input)",
     )
     p_prof.set_defaults(fn=_cmd_profile)
-
-    p_smk = sub.add_parser(
-        "smoke", help="determinism gate: byte-identical exports, no observer effect"
-    )
-    p_smk.set_defaults(fn=_cmd_smoke)
 
     return parser
 

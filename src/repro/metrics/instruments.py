@@ -8,17 +8,16 @@ state: aggregation happens at scrape time, so between scrapes the
 instruments cost nothing and the simulation cannot tell they exist.
 
 Gauge callbacks are ``functools.partial`` bindings of module-level
-functions (never lambdas or bound closures stored on the scenario): the
-shard-safety analysis treats partials of pure readers as inert, and the
-callbacks survive :meth:`ManetScenario.restart_node` because they iterate
+functions (never lambdas or bound closures stored on the scenario), so
+they survive :meth:`ManetScenario.restart_node`: they iterate
 ``scenario.stacks`` / ``scenario.phones`` at call time instead of
 capturing the component objects that a restart replaces.
 
 Stats-mirror gauges read :class:`repro.netsim.stats.Stats` with plain
 ``dict.get`` — never ``stats.counters[name]`` or ``Stats.count()``, which
 would *insert* the key into the defaultdict and change ``summary()``
-output: the exact observer effect the no-observer-effect gate in
-``tools/check.sh`` exists to catch.
+output: the exact observer effect the ``python -m repro.gates metrics``
+gate exists to catch.
 """
 
 from __future__ import annotations

@@ -5,46 +5,17 @@ Subcommands:
 * ``sweep`` — run the full offered-load sweep, print the report; exits
   nonzero unless the controlled curve degrades gracefully (success at
   twice the knee load holds >= 50 % of the at-knee rate)
-* ``smoke`` — run the reduced sweep and assert the qualitative overload
-  invariants plus byte-identical same-seed reruns in fresh interpreters
-  (the ``tools/check.sh`` gate for the overload subsystem)
+
+The reduced-sweep shedding gate is ``python -m repro.gates overload``.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
 
-from repro.overload.harness import (
-    MODE_CONTROLLED,
-    MODE_UNCONTROLLED,
-    OverloadConfig,
-    run_sweep,
-    smoke_config,
-)
-
-#: Rerun script for the byte-identity check. Protocol identifiers (Call-ID,
-#: Via branch, packet uid) come from process-global counters, so — like the
-#: trace and faults smokes — the byte-identity contract is between fresh
-#: interpreters, not reruns inside one process.
-_RERUN_SCRIPT = """
-import sys
-from repro.overload.harness import run_sweep, smoke_config
-sys.stdout.write(run_sweep(smoke_config()).render())
-"""
-
-
-def _rerun_in_fresh_process() -> str:
-    result = subprocess.run(
-        [sys.executable, "-c", _RERUN_SCRIPT],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=dict(os.environ),
-    )
-    return result.stdout
+from repro.overload.harness import OverloadConfig, run_sweep
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -65,64 +36,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             metrics.disable_default()
     print(report.render(), end="")
     return 0 if report.graceful_pass else 1
-
-
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    """Overload gate: graceful shedding works and reruns are byte-identical."""
-    failures: list[str] = []
-
-    cfg = smoke_config()
-    report = run_sweep(cfg)
-    top = max(cfg.loads)
-    controlled = report.point(top, MODE_CONTROLLED)
-    uncontrolled = report.point(top, MODE_UNCONTROLLED)
-    if controlled is None or uncontrolled is None:
-        failures.append("smoke sweep is missing its top-load points")
-    else:
-        if controlled.rejected_503 == 0:
-            failures.append("no 503 admission rejections at the overload point")
-        if controlled.admission_rejected == 0:
-            failures.append("sip.admission_rejected counter never moved")
-        if uncontrolled.queue_drops == 0:
-            failures.append("bounded TX queues shed nothing without admission")
-        if controlled.ok_rate <= uncontrolled.ok_rate:
-            failures.append(
-                f"admission control did not help at {top:.1f} cps "
-                f"(controlled {controlled.ok_rate:.3f} <= "
-                f"uncontrolled {uncontrolled.ok_rate:.3f})"
-            )
-        if uncontrolled.rejected_503 or uncontrolled.admission_rejected:
-            failures.append("uncontrolled run unexpectedly produced 503 rejections")
-    knee = report.knee
-    if knee is None:
-        failures.append("no knee: controlled runs never cleared the threshold")
-
-    # Byte-identity across fresh interpreters: the whole rendered report —
-    # counts, percentiles, MOS, knee analysis — must reproduce exactly.
-    try:
-        rerun_a = _rerun_in_fresh_process()
-        rerun_b = _rerun_in_fresh_process()
-    except subprocess.CalledProcessError as exc:
-        failures.append(f"fresh-process overload rerun crashed: {exc.stderr[-300:]}")
-    else:
-        if not rerun_a.strip():
-            failures.append("fresh-process overload rerun produced no output")
-        if rerun_a != rerun_b:
-            failures.append("same-seed fresh-process overload reports differ")
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    assert controlled is not None and uncontrolled is not None
-    print(
-        f"overload smoke ok: at {top:.1f} cps admission shed "
-        f"{controlled.rejected_503} calls with 503 (success "
-        f"{controlled.ok_rate:.3f} vs {uncontrolled.ok_rate:.3f} uncontrolled, "
-        f"{uncontrolled.queue_drops} queue drops); "
-        "same-seed reruns byte-identical"
-    )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,11 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sim-seconds between metric snapshots (default: 1.0)",
     )
     p_sweep.set_defaults(fn=_cmd_sweep)
-
-    p_smk = sub.add_parser(
-        "smoke", help="overload gate: graceful shedding + byte-identical reruns"
-    )
-    p_smk.set_defaults(fn=_cmd_smoke)
 
     return parser
 

@@ -323,5 +323,5 @@ def run_sweep(cfg: OverloadConfig | None = None) -> SweepReport:
 
 
 def smoke_config() -> OverloadConfig:
-    """The reduced sweep the ``smoke`` gate (tools/check.sh) runs."""
+    """The reduced sweep the ``python -m repro.gates overload`` gate runs."""
     return OverloadConfig(loads=(1.0, 2.0), window=12.5, grace=12.0)

@@ -16,6 +16,9 @@ from repro.rtp.codecs import Codec
 #: Default basic signal-to-noise rating (G.107 defaults collapse to this).
 R0 = 93.2
 
+#: "Users satisfied" threshold on the E-model MOS scale (ITU-T G.107).
+MOS_SATISFIED = 3.6
+
 
 def delay_impairment(one_way_delay_s: float) -> float:
     """Id: impairment from one-way (mouth-to-ear) delay, G.107 approximation."""
@@ -70,8 +73,8 @@ class CallQuality:
 
     @property
     def is_acceptable(self) -> bool:
-        """MOS >= 3.6 is the usual 'users satisfied' threshold."""
-        return self.mos >= 3.6
+        """MOS >= :data:`MOS_SATISFIED` is the usual 'users satisfied' threshold."""
+        return self.mos >= MOS_SATISFIED
 
     @property
     def mouth_to_ear_delay(self) -> float:

@@ -103,9 +103,17 @@ class SipTransport:
         try:
             message = parse_message(data)
             message.validate()
-        except SipParseError:
+        except SipParseError as error:
             self.parse_errors += 1
             self.node.stats.increment("sip.parse_errors")
+            tracer = self.node.sim.tracer
+            if tracer is not None:
+                tracer.emit(
+                    "sip.malformed",
+                    self.node.ip or self.node.wired_ip or "",
+                    src=src_ip,
+                    error=str(error),
+                )
             return
         self.messages_received += 1
         tracer = self.node.sim.tracer

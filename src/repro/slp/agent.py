@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.errors import CodecError
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, PORT_SLP
 from repro.slp.messages import (
@@ -128,8 +129,11 @@ class SlpAgent:
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
         try:
             message = decode_slp(data)
-        except Exception:
+        except CodecError as error:
             self.node.stats.increment("slp.parse_errors")
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.emit("slp.malformed", self.node.ip, src=src_ip, error=str(error))
             return
         if isinstance(message, SrvRqst):
             self._handle_request(message, src_ip)

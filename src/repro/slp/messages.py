@@ -41,7 +41,10 @@ def _write_string(writer: Writer, text: str) -> None:
 
 def _read_string(reader: Reader) -> str:
     length = reader.u16()
-    return reader.raw(length).decode("utf-8")
+    try:
+        return reader.raw(length).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"SLP string is not valid UTF-8: {exc.reason}") from exc
 
 
 @dataclass

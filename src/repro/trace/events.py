@@ -60,6 +60,7 @@ EVENT_KINDS: dict[str, str] = {
     "slp.resolved": "pending lookup resolved with results",
     "slp.miss": "pending lookup timed out with no results",
     "slp.advert_suppressed": "re-advertisement withheld by the rate limiter",
+    "slp.malformed": "undecodable baseline SLP datagram dropped (detail.error)",
     # queue — bounded interface TX queue lifecycle (opt-in, §5f)
     "queue.enqueue": "frame queued behind a busy interface (detail.depth)",
     "queue.drop": "bounded TX queue shed a frame (detail.policy says which)",
@@ -72,6 +73,7 @@ EVENT_KINDS: dict[str, str] = {
     "sip.msg_tx": "SIP message sent by an endpoint",
     "sip.msg_rx": "SIP message received by an endpoint",
     "sip.txn_state": "transaction state machine edge",
+    "sip.malformed": "unparseable SIP datagram dropped (detail.src, detail.error)",
     # tunnel — layer-2 tunnel lifecycle (client and gateway side)
     "tunnel.lease": "gateway granted or renewed a lease",
     "tunnel.lease_expired": "gateway expired an idle lease",

@@ -4,7 +4,7 @@ A seeded chain scenario takes a mid-call relay crash plus an abrupt
 gateway failure; the call workload must re-establish, and a same-seed
 rerun must reproduce the identical fault schedule and applied-event log.
 (Full byte-identical *trace* reruns are a fresh-process contract —
-``python -m repro.faults smoke`` checks that, like
+``python -m repro.gates faults`` checks that, like
 ``tests/trace/test_determinism.py`` does for plain tracing.)
 """
 

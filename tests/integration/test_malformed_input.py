@@ -88,12 +88,17 @@ class TestSipHeaders:
         ],
     )
     def test_bad_header_value_is_parse_error(self, head):
-        scenario = converged_chain("aodv")
+        scenario = converged_chain("aodv", tracing=True)
         src = scenario.nodes[0].ip
         wire = (head + _HEADERS).format(src=src) + "\r\n"
         scenario.nodes[0].send_udp(scenario.nodes[1].ip, 5060, 5060, wire.encode())
         scenario.sim.run(scenario.sim.now + 1.0)
         assert scenario.stats.counters["sip.parse_errors"] == 1
+        assert scenario.trace is not None
+        drops = [e for e in scenario.trace.events if e.kind == "sip.malformed"]
+        assert [e.node for e in drops] == [scenario.nodes[1].ip]
+        assert drops[0].detail["src"] == src
+        assert drops[0].detail["error"]
         assert_call_still_works(scenario)
 
     def test_wildcard_contact_register_is_answered(self):

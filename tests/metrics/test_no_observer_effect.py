@@ -1,6 +1,6 @@
 """The determinism contract: scraping must not change what it observes.
 
-These are the in-process halves of the ``python -m repro.metrics smoke``
+These are the in-process halves of the ``python -m repro.gates metrics``
 gate: same-seed runs with metrics on and off must agree on every Stats
 counter and on the exact event schedule, and same-seed instrumented runs
 must export byte-identical JSONL (after resetting the process-global

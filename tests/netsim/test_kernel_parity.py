@@ -15,7 +15,7 @@ the byte-for-byte trace export.
 Identifier counters (call-ids, branches, packet uids, ...) are process-
 global, so in-process reruns reset them via the global-state registry's
 ``reset_all`` — the fresh-interpreter variant of this gate
-(``python -m repro.netsim trace`` in ``tools/check.sh``) needs no reset.
+(``python -m repro.gates netsim``) needs no reset.
 """
 
 import hashlib

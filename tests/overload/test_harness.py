@@ -162,7 +162,3 @@ class TestCli:
             ["sweep", "--seed", "3", "--routing", "olsr", "--loads", "1", "2"]
         )
         assert (args.seed, args.routing, args.loads) == (3, "olsr", [1.0, 2.0])
-
-    def test_parser_accepts_smoke(self):
-        args = build_parser().parse_args(["smoke"])
-        assert args.fn is not None

@@ -1,5 +1,6 @@
 """Property-based tests for routing/SLP wire codecs (hypothesis)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CodecError
@@ -98,6 +99,14 @@ class TestSlpProperties:
             decode_slp(data)
         except CodecError:
             pass
+
+    @given(u16, st.binary(max_size=20), st.binary(max_size=20))
+    def test_invalid_utf8_string_is_codec_error(self, xid, head, tail):
+        # 0xFF never occurs in UTF-8, so this SrvRqst service type cannot decode.
+        text = head + b"\xff" + tail
+        data = bytes([2, 1]) + xid.to_bytes(2, "big") + len(text).to_bytes(2, "big") + text
+        with pytest.raises(CodecError):
+            decode_slp(data)
 
 
 olsr_messages = st.builds(

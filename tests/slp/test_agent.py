@@ -100,3 +100,27 @@ class TestNetworkLookup:
         agents[0].find_services("siphoc-sip", timeout=5.0, callback=results.append)
         sim.run(10.0)
         assert len(results[0]) == 2
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\x07",  # unsupported version
+            b"\x02\x01\x00\x00\x00\x01\xff",  # SrvRqst whose string is not UTF-8
+        ],
+        ids=["bad-version", "bad-utf8"],
+    )
+    def test_undecodable_datagram_is_counted_and_traced(self, data):
+        from repro.netsim.packet import PORT_SLP
+        from repro.trace import TraceCollector
+
+        sim, stats, nodes, agents = build_agents(2)
+        trace = TraceCollector().attach(sim)
+        sim.run(1.0)
+        nodes[0].send_udp(nodes[1].ip, PORT_SLP, PORT_SLP, data)
+        sim.run(3.0)
+        assert stats.count("slp.parse_errors") == 1
+        drops = [e for e in trace.events if e.kind == "slp.malformed"]
+        assert [e.node for e in drops] == [nodes[1].ip]
+        assert drops[0].detail["src"] == nodes[0].ip

@@ -81,11 +81,3 @@ class TestPackets:
         assert main(["packets", trace_file, "--dropped"]) == 0
         out = capsys.readouterr().out
         assert "delivered" not in out
-
-
-class TestSmoke:
-    def test_smoke_passes_and_writes_trace(self, tmp_path, capsys):
-        out_path = tmp_path / "smoke.jsonl"
-        assert main(["smoke", "--out", str(out_path)]) == 0
-        assert "trace smoke ok" in capsys.readouterr().out
-        assert out_path.read_text().count("\n") > 100

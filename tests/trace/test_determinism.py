@@ -10,10 +10,7 @@ process-global counters, so the byte-identity contract is between *runs of
 the same program*: the comparison below launches two fresh interpreters.
 """
 
-import os
-import subprocess
-import sys
-
+from repro.gates import fresh_pair
 from repro.scenarios import build_chain_call_scenario
 
 _RUN_SCRIPT = """
@@ -37,20 +34,8 @@ def run_traced_call(tracing: bool = True):
     return scenario
 
 
-def _export_in_fresh_process() -> str:
-    result = subprocess.run(
-        [sys.executable, "-c", _RUN_SCRIPT],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=dict(os.environ),
-    )
-    return result.stdout
-
-
 def test_same_seed_exports_byte_identical_jsonl():
-    first = _export_in_fresh_process()
-    second = _export_in_fresh_process()
+    first, second = fresh_pair(_RUN_SCRIPT)
     assert first  # the trace is non-trivial...
     assert first == second  # ...and reproduced byte for byte
 
