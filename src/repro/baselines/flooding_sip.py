@@ -115,11 +115,16 @@ class FloodingSipBackend(DiscoveryBackend):
         self._socket.send(BROADCAST, FLOODING_PORT, request.serialize(), ttl=self.FLOOD_HOPS)
 
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
+        # The To/Contact accessors parse lazily and raise on garbage, so
+        # they sit in the same guard as the framing parse.
         try:
             message = parse_message(data)
+            if not isinstance(message, SipRequest) or message.method != "REGISTER":
+                return
+            to = message.to
+            contact = message.contact
         except SipParseError:
-            return
-        if not isinstance(message, SipRequest) or message.method != "REGISTER":
+            self.node.stats.increment("flooding.parse_errors")
             return
         call_id = message.call_id or ""
         now = self.sim.now
@@ -128,8 +133,6 @@ class FloodingSipBackend(DiscoveryBackend):
         self._seen[call_id] = now + 60.0
         if len(self._seen) > 4096:
             self._seen = {k: v for k, v in self._seen.items() if v > now}
-        to = message.to
-        contact = message.contact
         if to is None or contact is None:
             return
         aor = to.uri.address_of_record

@@ -40,7 +40,10 @@ def _decode_hello(data: bytes) -> tuple[str, int, int, list[UserBinding]]:
     bindings = []
     for _ in range(count):
         length = reader.u16()
-        aor = reader.raw(length).decode("utf-8")
+        try:
+            aor = reader.raw(length).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"HELLO AoR is not valid UTF-8: {exc.reason}") from exc
         host = reader.ip()
         port = reader.u16()
         bindings.append(UserBinding(aor=aor, host=host, port=port))
@@ -134,6 +137,7 @@ class ProactiveHelloBackend(DiscoveryBackend):
         try:
             origin, seq, ttl, bindings = _decode_hello(data)
         except CodecError:
+            self.node.stats.increment("hello.parse_errors")
             return
         now = self.sim.now
         key = (origin, seq)

@@ -76,4 +76,4 @@ class ConfigError(ReproError):
 
 
 class MetricsError(ReproError):
-    """Raised for invalid metrics registration, export or profiler use."""
+    """Raised for invalid metrics registration or export."""

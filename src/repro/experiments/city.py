@@ -106,7 +106,6 @@ def run_city_workload(
     drain: float = 20.0,
     max_call_distance: float = 1200.0,
     mobility: bool = True,
-    profiler=None,
 ) -> dict[str, object]:
     """Run one city scenario to completion; return its measurements.
 
@@ -114,16 +113,10 @@ def run_city_workload(
     ``warmup`` — a staggered background load, not a synchronized storm —
     and the run continues ``drain`` seconds past the last placement so
     late calls finish (or fail) before measurement.
-
-    Passing a :class:`repro.metrics.profiler.KernelProfiler` installs it
-    before any workload event is scheduled, so every handler in the run is
-    attributed; it stays installed afterwards for the caller to report on.
     """
     scenario = build_city_scenario(
         n_nodes=n_nodes, tx_range=tx_range, seed=seed, mobility=mobility,
     )
-    if profiler is not None:
-        scenario.sim.attach_profiler(profiler)
     pairs = _pick_call_pairs(scenario, n_calls, max_call_distance)
     phone_nodes = sorted({index for pair in pairs for index in pair})
     for index in phone_nodes:

@@ -18,7 +18,7 @@ Rules (see DESIGN.md §5c and §5h for rationale):
 
 ========  ====================================================================
 DET001    wall-clock reads (``time.time``/``monotonic``/``perf_counter``,
-          ``datetime.now``) outside ``netsim/simulator.py`` and ``benchmarks/``
+          ``datetime.now``) anywhere outside ``benchmarks/``
 DET002    module-level ``random.*`` calls / un-seeded ``random.Random()``
 DET003    iteration over bare ``set``/``frozenset`` in ``netsim/``, ``core/``,
           ``routing/`` (set order feeds event scheduling)
@@ -28,7 +28,7 @@ CACHE002  writes to ``Node._position`` that bypass the epoch-notifying setter
 SIM001    ``==``/``!=`` on simulation-time expressions (float clock values)
 FAULT001  wall-clock or ``random.*`` (even seeded) under ``faults/``
 OBS001    wall-clock or ``random.*`` (even seeded) under ``metrics/`` and
-          ``handover/`` (``metrics/profiler.py`` exempt)
+          ``handover/``
 OVR001    unbounded queues in ``netsim/`` and ``core/`` hot paths
 PERF001   direct ``heapq`` use outside ``repro/netsim/kernel.py`` (event
           ordering must go through the event kernel)

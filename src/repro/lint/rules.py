@@ -55,24 +55,15 @@ class _WallClockVisitor(RuleVisitor):
 
 class WallClockRule(Rule):
     id = "DET001"
-    title = "no wall-clock reads outside the simulator, profiler and benchmarks"
+    title = "no wall-clock reads outside benchmarks"
     rationale = (
-        "Any code path keyed on host time diverges between runs; only the "
-        "simulator core (which defines virtual time), the kernel profiler "
-        "(which measures the host by design) and benchmarks may touch the "
-        "real clock."
+        "Any code path keyed on host time diverges between runs; simulation "
+        "time is Simulator.now, and only benchmarks may touch the real clock."
     )
     visitor_class = _WallClockVisitor
 
-    #: ``(dir, file)`` suffixes exempt from the rule: the simulator owns
-    #: virtual time, the profiler's entire purpose is wall-time attribution.
-    EXEMPT_SUFFIXES = (("netsim", "simulator.py"), ("metrics", "profiler.py"))
-
     def applies_to(self, path: Path) -> bool:
-        parts = path.parts
-        if "benchmarks" in parts:
-            return False
-        return not (len(parts) >= 2 and parts[-2:] in self.EXEMPT_SUFFIXES)
+        return "benchmarks" not in path.parts
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +536,7 @@ class _MetricsPurityVisitor(RuleVisitor):
                 node,
                 f"wall-clock call {name}() in observability code: scrape and "
                 "drill timing must derive from sim time only, or the observer "
-                "changes what it observes; wall-time belongs in "
-                "metrics/profiler.py",
+                "changes what it observes",
             )
         elif name is not None and name.startswith("random."):
             # Stricter than DET002: even a *seeded* random.Random is banned.
@@ -564,7 +554,7 @@ class _MetricsPurityVisitor(RuleVisitor):
 
 class MetricsPurityRule(Rule):
     id = "OBS001"
-    title = "no wall-clock or random.* calls under metrics/ or handover/ (profiler exempt)"
+    title = "no wall-clock or random.* calls under metrics/ or handover/"
     rationale = (
         "The observability layers' contract is zero observer effect: "
         "same-seed runs are byte-identical with scraping on or off, and the "
@@ -573,17 +563,13 @@ class MetricsPurityRule(Rule):
         "is a pure function of registry/trace state and Simulator.now — any "
         "wall-clock read or RNG (seeded or not) couples output to the host. "
         "(The policy's own retry jitter draws a *private* integer-seeded "
-        "RNG in repro.core.connection, outside this scope by design.) The "
-        "one sanctioned exception is metrics/profiler.py, whose entire "
-        "purpose is wall-time measurement."
+        "RNG in repro.core.connection, outside this scope by design.)"
     )
     visitor_class = _MetricsPurityVisitor
 
     def applies_to(self, path: Path) -> bool:
         parts = path.parts
-        if "metrics" not in parts and "handover" not in parts:
-            return False
-        return not (len(parts) >= 2 and parts[-2:] == ("metrics", "profiler.py"))
+        return "metrics" in parts or "handover" in parts
 
 
 # ---------------------------------------------------------------------------
@@ -659,18 +645,14 @@ class UnboundedQueueRule(Rule):
         "Overload control (§5f) only degrades gracefully if every buffer "
         "between admission and the air interface is bounded; one unbounded "
         "deque or bare-list queue turns backpressure into silent memory "
-        "growth and unbounded latency. The simulator's event heap is exempt "
-        "(virtual events, not in-flight traffic)."
+        "growth and unbounded latency."
     )
     visitor_class = _UnboundedQueueVisitor
 
     SCOPED_DIRS = frozenset({"netsim", "core"})
 
     def applies_to(self, path: Path) -> bool:
-        parts = path.parts
-        if len(parts) >= 2 and parts[-2:] == ("netsim", "simulator.py"):
-            return False
-        return any(part in self.SCOPED_DIRS for part in parts)
+        return any(part in self.SCOPED_DIRS for part in path.parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Sim-time metrics: instrument registry, deterministic scraper, profiler.
+"""Sim-time metrics: instrument registry and deterministic scraper.
 
 Public surface:
 
@@ -8,12 +8,12 @@ Public surface:
   default toggle (:mod:`repro.metrics.scraper`);
 * :func:`install_scenario_instruments` — the standard gauge set over a
   :class:`~repro.scenarios.ManetScenario`;
-* :class:`~repro.metrics.profiler.KernelProfiler` — opt-in wall-time
-  attribution (imported from its module directly; it is the one part of
-  this package allowed to touch the host clock);
-* ``python -m repro.metrics`` — tables, sparkline dashboards, Prometheus
-  exposition and profiling (the gate is ``python -m repro.gates metrics``).
+* ``python -m repro.metrics`` — tables, sparkline dashboards and
+  Prometheus exposition (the gate is ``python -m repro.gates metrics``).
 
+Nothing here reads the host clock (lint rule OBS001). Host wall time per
+protocol layer is measured outside ``src/``, by the benchmark's span
+tracer: ``python3 perfbench/run.py --workload city --trace 1``.
 Design and the determinism contract: DESIGN.md §5i.
 """
 

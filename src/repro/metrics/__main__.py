@@ -5,9 +5,6 @@ Subcommands:
 * ``table``   — per-metric min/max/last table from a JSONL export
 * ``dash``    — ASCII sparkline dashboard (one row per metric)
 * ``prom``    — Prometheus text exposition of one snapshot
-* ``profile`` — run the C1 quick variant under the kernel profiler,
-  print per-subsystem wall-time attribution, optionally write
-  collapsed stacks for speedscope / flamegraph.pl
 
 The export/no-observer-effect gate is ``python -m repro.gates metrics``.
 """
@@ -21,7 +18,7 @@ import sys
 from repro.errors import MetricsError
 from repro.metrics.registry import render_prometheus
 from repro.metrics.scraper import load_jsonl
-from repro.metrics.render import render_dash, render_table, summarize_sections
+from repro.metrics.render import render_dash, render_table
 
 
 def _load(path: str):
@@ -62,33 +59,6 @@ def _cmd_prom(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.experiments.city import run_city_workload
-    from repro.metrics.profiler import CORE_SUBSYSTEMS, KernelProfiler
-
-    profiler = KernelProfiler()
-    result = run_city_workload(
-        n_nodes=args.nodes, n_calls=args.calls, drain=15.0, seed=args.seed,
-        profiler=profiler,
-    )
-    report = profiler.report()
-    print(
-        f"C1 quick variant: {result['nodes']} nodes, {result['calls']} calls, "
-        f"{result['events']} events"
-    )
-    print(report.render(top=args.top))
-    fraction = report.attributed_fraction(CORE_SUBSYSTEMS)
-    print(
-        f"\nattributed to core subsystems "
-        f"({', '.join(sorted(CORE_SUBSYSTEMS))}): {fraction:.1%}"
-    )
-    if args.collapsed:
-        with open(args.collapsed, "w", encoding="utf-8") as handle:
-            handle.write(report.collapsed())
-        print(f"[collapsed stacks written to {args.collapsed}]")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.metrics",
@@ -118,19 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot index within each section (default: last)",
     )
     p_prom.set_defaults(fn=_cmd_prom)
-
-    p_prof = sub.add_parser(
-        "profile", help="profile the C1 quick variant, print attribution"
-    )
-    p_prof.add_argument("--nodes", type=int, default=300)
-    p_prof.add_argument("--calls", type=int, default=6)
-    p_prof.add_argument("--seed", type=int, default=1)
-    p_prof.add_argument("--top", type=int, default=20, help="handlers to list")
-    p_prof.add_argument(
-        "--collapsed", metavar="OUT.TXT",
-        help="write collapsed stacks (speedscope / flamegraph.pl input)",
-    )
-    p_prof.set_defaults(fn=_cmd_profile)
 
     return parser
 

@@ -27,7 +27,7 @@ Three instrument types cover what the experiments need:
     (e.g. every node's TX-queue depth).
 
 The registry never reads the host clock and never draws randomness — lint
-rule OBS001 enforces that for the whole package except the profiler.
+rule OBS001 enforces that for the whole package.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ MetricsSection` data — no simulation imports, no clock, no randomness.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.metrics.scraper import MetricsSection, Snapshot
 
@@ -115,24 +115,3 @@ def render_dash(
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
 
-
-def summarize_sections(sections: list[MetricsSection], top: int = 5) -> dict[str, Any]:
-    """Compact machine-readable summary (embedded in benchmark reports).
-
-    ``top_gauges`` ranks gauges by their maximum observed value — the
-    quick "what moved" view a benchmark report wants inline.
-    """
-    scrape_count = sum(len(section.snapshots) for section in sections)
-    peaks: dict[str, float] = {}
-    for section in sections:
-        for snap in section.snapshots:
-            for name, value in snap.gauges.items():
-                number = float(value)
-                if name not in peaks or number > peaks[name]:
-                    peaks[name] = number
-    ranked = sorted(peaks.items(), key=lambda item: (-item[1], item[0]))[:top]
-    return {
-        "scrape_count": scrape_count,
-        "sections": len(sections),
-        "top_gauges": [{"name": name, "max": value} for name, value in ranked],
-    }

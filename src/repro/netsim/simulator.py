@@ -97,9 +97,6 @@ class Simulator:
         # Optional repro.metrics.MetricsScraper; None means metrics are off
         # and run() takes the direct kernel.run path.
         self.metrics = None
-        # Optional repro.metrics.profiler.KernelProfiler, set by
-        # attach_profiler(); kept for introspection/uninstall.
-        self.profiler = None
 
     @property
     def now(self) -> float:
@@ -171,21 +168,6 @@ class Simulator:
         effect. :meth:`run` is the only scrape piggyback point.
         """
         self._kernel.run(max_time)
-
-    def attach_profiler(self, profiler: Any) -> Any:
-        """Install an opt-in kernel profiler (see ``repro.metrics.profiler``).
-
-        Delegates to ``profiler.install(self)``; :attr:`profiler` holds the
-        installed instance. Zero overhead when never called: scheduling stays
-        bound straight to the kernel.
-        """
-        profiler.install(self)
-        return profiler
-
-    def detach_profiler(self) -> None:
-        """Uninstall the profiler installed by :meth:`attach_profiler`."""
-        if self.profiler is not None:
-            self.profiler.uninstall()
 
     def run_until(
         self,

@@ -13,8 +13,11 @@ from repro.baselines import (
     MulticastSlpBackend,
     ProactiveHelloBackend,
 )
+from repro.baselines.flooding_sip import FLOODING_PORT
+from repro.baselines.proactive_hello import HELLO_PORT
 from repro.netsim import Node, Simulator, Stats, WirelessMedium, manet_ip, place_chain
 from repro.routing import Aodv
+from repro.routing.wire import Writer
 
 BACKENDS = {
     "siphoc": lambda node, daemon: ManetSlpBackend(node, daemon),
@@ -120,6 +123,59 @@ class TestProactiveHello:
         late_packets = stats.traffic_packets("proactive-hello") - early_packets
         # Once everyone gossips everyone's mappings, per-packet size grows.
         assert late_bytes / max(1, late_packets) > early_bytes / max(1, early_packets)
+
+
+def assert_still_resolves(sim, nodes, backends):
+    results = []
+    backends[0].resolve("sip:bob@h", results.append, timeout=4.0)
+    sim.run(sim.now + 8.0)
+    assert results and results[0] is not None
+    assert results[0].host == nodes[3].ip
+
+
+class TestHostileDatagrams:
+    """A malformed datagram is a counted drop, never an exception out of the run."""
+
+    def test_hello_with_non_utf8_aor_is_counted_drop(self):
+        sim, stats, nodes, backends = build(BACKENDS["proactive-hello"])
+        backends[3].register_user("sip:bob@h", nodes[3].ip, 5060)
+        hostile = (
+            Writer().ip(nodes[0].ip).u16(1).u8(1).u16(1)
+            .u16(2).raw(b"\xff\xfe").ip(nodes[0].ip).u16(5060)
+            .getvalue()
+        )
+        nodes[0].send_udp(nodes[1].ip, HELLO_PORT, HELLO_PORT, hostile)
+        sim.run(12.0)
+        assert stats.count("hello.parse_errors") == 1
+        assert_still_resolves(sim, nodes, backends)
+
+    @pytest.mark.parametrize(
+        ("to", "contact"),
+        [
+            ("<sip:m@h>", "<garbage"),
+            ("garbage<<", "<sip:m@10.0.0.1>"),
+            ("<sip:m@h>", "<sip:m@10.0.0.1:abc>"),
+        ],
+        ids=["contact-unterminated", "to-garbage", "contact-bad-port"],
+    )
+    def test_register_with_bad_header_is_counted_drop(self, to, contact):
+        sim, stats, nodes, backends = build(BACKENDS["flooding-register"])
+        backends[3].register_user("sip:bob@h", nodes[3].ip, 5060)
+        hostile = (
+            "REGISTER sip:h SIP/2.0\r\n"
+            f"Via: SIP/2.0/UDP {nodes[0].ip}:{FLOODING_PORT};branch=z9hG4bKhostile\r\n"
+            "From: <sip:m@h>\r\n"
+            f"To: {to}\r\n"
+            "Call-ID: hostile\r\n"
+            "CSeq: 1 REGISTER\r\n"
+            "Max-Forwards: 2\r\n"
+            f"Contact: {contact}\r\n"
+            "Content-Length: 0\r\n\r\n"
+        ).encode()
+        nodes[0].send_udp(nodes[1].ip, FLOODING_PORT, FLOODING_PORT, hostile)
+        sim.run(12.0)
+        assert stats.count("flooding.parse_errors") == 1
+        assert_still_resolves(sim, nodes, backends)
 
 
 class TestSiphocBackendCharacter:

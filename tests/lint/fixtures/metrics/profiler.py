@@ -1,7 +1,8 @@
-"""OBS001/DET001 exemption fixture: metrics/profiler.py may read wall time.
+"""DET001 + OBS001 positive: a wall-time timer under metrics/ is flagged.
 
-The profiler's whole purpose is attributing host wall-time to handlers, so
-both the metrics purity rule and the wall-clock rule stand down here.
+No file in the metrics package may read the host clock, whatever its
+name: each ``perf_counter`` read below trips both rules. Host wall time
+is measured outside ``src/``, by the benchmark's span tracer.
 """
 
 import time

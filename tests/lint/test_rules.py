@@ -1,9 +1,11 @@
 """Rule-by-rule fixture tests for the determinism/cache-coherence analyzer.
 
 Each rule has at least one positive and one negative fixture under
-``fixtures/``; path-scoped rules additionally prove their exemptions
-(``netsim/simulator.py``, ``benchmarks/`` for DET001; unscoped dirs for
-DET003). Suppression comments are exercised end to end.
+``fixtures/``; path-scoped rules additionally prove their scope:
+``benchmarks/`` is DET001's only exemption, the ``netsim/simulator.py``
+and ``metrics/profiler.py`` fixtures show those file names get none, and
+unscoped dirs stay clean for DET003.
+Suppression comments are exercised end to end.
 """
 
 import json
@@ -21,7 +23,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EXPECTED = {
     "det001_bad.py": ["DET001"] * 4,
     "det001_ok.py": [],
-    "netsim/simulator.py": [],
+    "netsim/simulator.py": ["DET001"],
     "benchmarks/bench_clock.py": [],
     "det002_bad.py": ["DET002"] * 4,
     "det002_ok.py": [],
@@ -39,7 +41,7 @@ EXPECTED = {
     "fault001_unscoped.py": [],
     "metrics/obs001_bad.py": ["DET001", "DET002", "OBS001", "OBS001", "OBS001"],
     "metrics/obs001_ok.py": [],
-    "metrics/profiler.py": [],
+    "metrics/profiler.py": ["DET001", "DET001", "OBS001", "OBS001"],
     "handover/obs001_bad.py": ["DET001", "DET002", "OBS001", "OBS001", "OBS001"],
     "handover/obs001_ok.py": [],
     "obs001_unscoped.py": [],

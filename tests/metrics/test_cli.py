@@ -12,7 +12,6 @@ from repro.metrics.render import (
     render_table,
     series_for,
     sparkline,
-    summarize_sections,
 )
 from repro.metrics.scraper import MetricsScraper, load_jsonl
 
@@ -91,20 +90,6 @@ class TestRenderers:
         assert "calls" not in text
         assert "[1..4]" in text
 
-    def test_summarize_ranks_gauges_by_max(self):
-        scraper = MetricsScraper(interval=1.0)
-        low = scraper.registry.gauge("low")
-        high = scraper.registry.gauge("high")
-        low.set(1.0)
-        high.set(9.0)
-        scraper.scrape(1.0)
-        summary = summarize_sections([s for s in load_jsonl(
-            io.StringIO(scraper.export_text())
-        )], top=1)
-        assert summary["scrape_count"] == 1
-        assert summary["sections"] == 1
-        assert summary["top_gauges"] == [{"name": "high", "max": 9.0}]
-
 
 class TestCli:
     @pytest.fixture
@@ -147,6 +132,6 @@ class TestCli:
 
     def test_parser_knows_all_subcommands(self):
         parser = build_parser()
-        for command in ("table", "dash", "prom", "profile"):
-            args = parser.parse_args([command] + ([] if command == "profile" else ["f.jsonl"]))
+        for command in ("table", "dash", "prom"):
+            args = parser.parse_args([command, "f.jsonl"])
             assert args.command == command
